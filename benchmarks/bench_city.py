@@ -3,14 +3,16 @@
 Runs whole-city discovery through :func:`repro.shard.run_city` — tile
 grid, per-shard simulations across a process pool, halo exchange, and
 the deterministic merge — recording wall-clock and tracemalloc peak per
-row.  The CI grid compares one city (2×2 at n = 2048, forced sparse per
-shard) against its single-region twin; the full grid
-(``REPRO_BENCH_FULL=1``) adds batch-backend cities up to
+row.  The CI grid compares one city (2×2 at n = 2048) against its
+single-region twin; the full grid (``REPRO_BENCH_FULL=1``) adds cities
+up to
 
 * n = 100 000 on a 2×2 grid, and
-* n = 1 000 000 on a 4×4 grid — 62 500 devices per shard, each shard on
-  the whole-array batch kernels, the acceptance row for the sharded
-  tier.
+* n = 1 000 000 on a 4×4 grid — 62 500 devices per shard, the
+  acceptance row for the sharded tier.
+
+Rows carry the ``backend`` label the committed baseline keys them by;
+every shard runs the one CSR path.
 
 Density is constant (the paper's 50 devices per 100 m × 100 m), so the
 area grows with n and E = O(n); the 4×4 city at one million devices
@@ -44,9 +46,9 @@ from repro.core.st import STSimulation
 from repro.shard import CityConfig, run_city
 
 SEED = 1
-#: Single-region reference rows (sparse backend).
+#: Single-region reference rows.
 SINGLE_SIZES = (2048,)
-#: City rows: (n, per-shard backend, (rows, cols)).
+#: City rows: (n, baseline row label, (rows, cols)).
 CITY_GRID = [(2048, "sparse", (2, 2))]
 if FULL:
     CITY_GRID += [
@@ -61,16 +63,12 @@ WORKERS = 2
 SHARD_RATIO_LIMIT = 2.5
 
 
-def _config(n: int, backend: str) -> PaperConfig:
-    return (
-        PaperConfig(seed=SEED)
-        .with_devices(n, keep_density=True)
-        .replace(backend=backend)
-    )
+def _config(n: int) -> PaperConfig:
+    return PaperConfig(seed=SEED).with_devices(n, keep_density=True)
 
 
 def _run_single(n: int) -> dict:
-    config = _config(n, "sparse")
+    config = _config(n)
     tracemalloc.start()
     t0 = time.perf_counter()
     result = STSimulation(D2DNetwork(config)).run()
@@ -88,7 +86,7 @@ def _run_single(n: int) -> dict:
 
 
 def _run_city_row(n: int, backend: str, tiles: tuple[int, int], obs_dir=None) -> dict:
-    city = CityConfig(_config(n, backend), *tiles)
+    city = CityConfig(_config(n), *tiles)
     t0 = time.perf_counter()
     res = run_city(
         city,

@@ -3,7 +3,8 @@
 Unlike the figure benches (single-shot ``pedantic`` regenerations), these
 use pytest-benchmark's statistical timing to track the performance of the
 two inner loops everything else stands on: the pulse-sync kernel and the
-beacon-discovery cohort loop.
+beacon-discovery cohort loop.  Under ``--benchmark-disable`` each times
+its one call instead.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import benchmark_mean_s, write_bench_json
+from benchmarks.conftest import timed_benchmark, write_bench_json
 from repro.core.beacon import BeaconDiscovery, top_k_required
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
@@ -40,12 +41,12 @@ def test_bench_pulse_sync_kernel(benchmark, network, bench_json_dir):
     def run():
         return kernel.run(np.random.default_rng(4), max_time_ms=60_000.0)
 
-    result = benchmark(run)
+    result, wall_s = timed_benchmark(benchmark, run)
     assert result.converged
     write_bench_json(
         bench_json_dir,
         "kernel_pulse_sync",
-        benchmark_mean_s(benchmark),
+        wall_s,
         {
             "messages": result.messages,
             "time_ms": result.time_ms,
@@ -69,12 +70,12 @@ def test_bench_beacon_discovery(benchmark, network, bench_json_dir):
     def run():
         return disc.run(np.random.default_rng(4), required, max_periods=500)
 
-    result = benchmark(run)
+    result, wall_s = timed_benchmark(benchmark, run)
     assert result.complete
     write_bench_json(
         bench_json_dir,
         "kernel_beacon_discovery",
-        benchmark_mean_s(benchmark),
+        wall_s,
         {
             "messages": result.messages,
             "periods": result.periods,
@@ -87,11 +88,11 @@ def test_bench_network_build(benchmark, bench_json_dir):
     def build():
         return D2DNetwork(PaperConfig(seed=3).with_devices(200, keep_density=False))
 
-    net = benchmark(build)
+    net, wall_s = timed_benchmark(benchmark, build)
     assert net.n == 200
     write_bench_json(
         bench_json_dir,
         "kernel_network_build",
-        benchmark_mean_s(benchmark),
+        wall_s,
         {"devices": net.n},
     )

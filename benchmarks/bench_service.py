@@ -13,9 +13,8 @@ In-process on purpose: the number is the service's (routing, world
 queries, canonical JSON), not the socket stack's —
 ``scripts/service_load.py`` covers the HTTP layer.
 
-The CI grid runs n = 4096 (forced sparse); the full grid
-(``REPRO_BENCH_FULL=1``) adds the acceptance row, a **100 000-UE sparse
-world under continuous churn**, whose ``service_qps_floor_ratio``
+The CI grid runs n = 4096; the full grid (``REPRO_BENCH_FULL=1``) adds
+the acceptance row, a **100 000-UE world under continuous churn**, whose ``service_qps_floor_ratio``
 budget (floor / measured qps, limit 1.0) hard-fails
 ``scripts/check_bench_regression.py`` when the sustained rate drops
 below 1 000 queries/sec.  The budget always binds the largest row in
@@ -50,8 +49,8 @@ from repro.service import (
 )
 
 SEED = 1
-#: (n, backend) rows; the service always forces sparse — auto would pick
-#: the batch backend at n >= 16384, which has no live link CSR to query.
+#: (n, label) rows.  Every world runs on the one CSR path; the label is
+#: the backend name the committed baseline keys its rows by.
 GRID = [(4096, "sparse")]
 if FULL:
     GRID += [(100_000, "sparse")]
@@ -75,12 +74,8 @@ OPS_PAIRS_PER_ROUND = 10_000
 OPS_OVERHEAD_LIMIT = 0.05
 
 
-def _world(n: int, backend: str) -> SteadyStateWorld:
-    base = (
-        PaperConfig(seed=SEED)
-        .with_devices(n, keep_density=True)
-        .replace(backend=backend)
-    )
+def _world(n: int) -> SteadyStateWorld:
+    base = PaperConfig(seed=SEED).with_devices(n, keep_density=True)
     return SteadyStateWorld(
         WorldConfig(
             base=base,
@@ -109,7 +104,7 @@ def _query_script(client: ServiceClient, n: int, offset: int) -> int:
 
 def _run_row(n: int, backend: str) -> dict:
     t0 = time.perf_counter()
-    world = _world(n, backend)
+    world = _world(n)
     build_s = time.perf_counter() - t0
     client = ServiceClient(DiscoveryApp(world))
 
@@ -163,7 +158,7 @@ def _ops_overhead() -> dict:
     from repro.obs.ops import OpsPlane
 
     n, backend = GRID[0]
-    world = _world(n, backend)
+    world = _world(n)
     plane = OpsPlane(flight=FlightRecorder())
     app = DiscoveryApp(world, ops=plane)
     client = ServiceClient(app)

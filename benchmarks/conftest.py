@@ -12,6 +12,7 @@ default grid is a faster subset with the same shape.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import time
@@ -70,28 +71,39 @@ def timed_pedantic(benchmark, fn):
     return result, time.perf_counter() - t0
 
 
-def benchmark_mean_s(benchmark) -> float | None:
-    """Mean seconds of a statistical ``benchmark(fn)`` run.
+def timed_benchmark(benchmark, fn):
+    """Statistical ``benchmark(fn)`` run returning ``(result, wall_s)``.
 
-    Returns ``None`` under ``--benchmark-disable``, where no stats exist.
+    ``wall_s`` is the mean over pytest-benchmark's rounds.  Under
+    ``--benchmark-disable`` there are no stats and ``fn`` runs once, so
+    it is the wall of that one call.
     """
-    try:
-        return float(benchmark.stats.stats.mean)
-    except AttributeError:
-        return None
+    t0 = time.perf_counter()
+    result = benchmark(fn)
+    wall_s = time.perf_counter() - t0
+    stats = getattr(benchmark, "stats", None)
+    if stats is not None:
+        wall_s = float(stats.stats.mean)
+    return result, wall_s
 
 
 def write_bench_json(
     directory: pathlib.Path,
     name: str,
-    wall_s: float | None,
+    wall_s: float,
     metrics: dict | None = None,
 ) -> pathlib.Path:
-    """Write the ``BENCH_<name>.json`` machine-readable artifact."""
+    """Write the ``BENCH_<name>.json`` machine-readable artifact.
+
+    Raises :class:`ValueError` when ``wall_s`` is missing or not finite:
+    an artifact without a wall time cannot be trended or gated.
+    """
+    if wall_s is None or not math.isfinite(wall_s):
+        raise ValueError(f"BENCH_{name}.json needs a finite wall time, got {wall_s!r}")
     payload = {
         "schema": "repro.bench/1",
         "bench": name,
-        "wall_time_s": None if wall_s is None else round(float(wall_s), 6),
+        "wall_time_s": round(float(wall_s), 6),
         "metrics": metrics or {},
     }
     path = directory / f"BENCH_{name}.json"

@@ -15,9 +15,9 @@ reports the **first diverging round/event** (see
 hash mismatch.
 
 Hardware PCO validation does exactly this against recorded reference
-traces (Brandner et al.); here it is the regression gate that keeps the
-sparse path bitwise-identical to dense and faulty runs bitwise
-reproducible while the kernels keep getting faster.
+traces (Brandner et al.); here it is the regression gate that keeps
+runs — faulty ones included — bitwise reproducible while the kernels
+keep getting faster.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.conformance.report import Divergence, first_divergence
 from repro.core.config import PaperConfig
 from repro.core.fst import FSTSimulation
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import PulseSyncKernel, SparsePulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.core.st import STSimulation
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import Observability
@@ -59,7 +59,12 @@ MAX_GOLDEN_EVENTS = 5000
 # config stamping
 # ----------------------------------------------------------------------
 def config_summary(config: PaperConfig) -> dict[str, Any]:
-    """The constructor facts a golden needs to rebuild its config."""
+    """The constructor facts a golden needs to rebuild its config.
+
+    ``backend`` and ``resolved_backend`` are labels (the first echoes an
+    input that selects nothing); they stay so that recorded content
+    hashes keep their bytes.
+    """
     faults = config.faults
     return {
         "n_devices": config.n_devices,
@@ -189,34 +194,19 @@ def _pulsesync_capture(
     """Run the bare sync kernel over the proximity mesh (no discovery)."""
     cfg = net.config
     prc = LinearPRC.from_dissipation(cfg.dissipation, cfg.epsilon)
-    opts = dict(
+    budget = net.sparse_budget
+    kernel = SparsePulseSyncKernel(
+        budget.link_indptr,
+        budget.link_indices,
+        budget.link_power_dbm,
+        prc,
         period_ms=cfg.period_ms,
         threshold_dbm=cfg.threshold_dbm,
         refractory_ms=cfg.refractory_ms,
         sync_window_ms=cfg.sync_window_ms,
         collision_policy=cfg.collision_policy,
+        fading=budget.fading,
     )
-    if net.is_sparse:
-        from repro.core.batch import BatchPulseSyncKernel
-
-        budget = net.sparse_budget
-        kernel_cls = BatchPulseSyncKernel if net.is_batch else SparsePulseSyncKernel
-        kernel = kernel_cls(
-            budget.link_indptr,
-            budget.link_indices,
-            budget.link_power_dbm,
-            prc,
-            fading=budget.fading,
-            **opts,
-        )
-    else:
-        kernel = PulseSyncKernel(
-            net.link_budget.mean_rx_dbm,
-            net.adjacency,
-            prc,
-            fading=net.link_budget.fading,
-            **opts,
-        )
     res = kernel.run(
         net.streams.stream("pulsesync"),
         max_time_ms=cfg.max_time_ms,
@@ -318,15 +308,8 @@ def default_name(config: PaperConfig, algorithm: str) -> str:
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
-def replay(
-    golden: GoldenTrace, *, backend: str | None = None
-) -> tuple[GoldenTrace, Divergence | None]:
+def replay(golden: GoldenTrace) -> tuple[GoldenTrace, Divergence | None]:
     """Re-execute a golden's run and locate the first divergence.
-
-    ``backend`` overrides the stamped execution backend — replaying a
-    dense golden on the sparse backend (or vice versa) is the
-    cross-backend conformance check, valid because every stream draw and
-    fault decision is backend-invariant by construction.
 
     Goldens whose config stamp carries a ``tiles`` key are sharded
     captures and dispatch to
@@ -335,10 +318,8 @@ def replay(
     if "tiles" in golden.config:
         from repro.shard.conformance import replay_city
 
-        return replay_city(golden, backend=backend)
+        return replay_city(golden)
     config = config_from_summary(golden.config)
-    if backend is not None:
-        config = config.replace(backend=backend)
     # same elision policy as record, so identical runs yield identical docs
     fresh = capture_run(config, golden.algorithm, name=golden.name)
     div = first_divergence(

@@ -1,143 +1,26 @@
-"""Batch execution backend — whole-array kernels for 50k–100k UEs.
+"""Whole-array bookkeeping for the ST timing replay.
 
-The ``sparse`` backend already avoids O(n²) state, but parts of its ST
-pipeline still scale badly at 50k–100k UEs: the required-edge selection
-runs a global 3-key lexsort over all E radio edges, each Borůvka phase
-re-derives per-fragment accounting from a ``fromiter`` component scan
-plus frozenset snapshots, and the timing replay runs a Python double-BFS
-per fragment merge.  At n = 50 000 those costs rival the per-edge radio
-work itself.
+The ST driver replays the Borůvka merge schedule to time each phase:
+every merge asks for the sizes and hop diameters of the two fragments
+it joins.  A double BFS per merge makes that replay quadratic in the
+fragment sizes; the classes here answer the same queries exactly in
+O(1) per merge:
 
-The ``batch`` backend replaces each of those loops with one vectorized
-pass while producing **bitwise-identical** runs.  Three properties make
-that possible:
+* :class:`TreeDistanceOracle` — exact hop distances over the final
+  Borůvka forest (Euler tour + sparse-table RMQ);
+* :class:`BatchReplayLedger` — incremental fragment sizes and diameters
+  under the merge rule, built on the oracle.
 
-* channel and fault draws are counter-hashed — pure functions of
-  ``(key, event, tx, rx)`` — so evaluating a whole period's worth of
-  events as one array call yields the same floats per element as the
-  scalar per-event calls (:mod:`repro.radio.chanhash`);
-* elementwise float ops commute with gathering: computing on a gathered
-  subset (or on a whole-period concatenation of cohorts) is bitwise what
-  the per-cohort / masked full-array form computes;
-* segment reductions (``np.add.reduceat`` / ``np.maximum.reduceat``)
-  over segments whose elements sit in the same sorted order accumulate
-  left-to-right exactly like the per-cohort reductions they replace.
-
-What lives here:
-
-* :class:`BatchPulseSyncKernel` — PRC advancement on the gathered
-  eligible subset, O(|wave|) instead of O(n) per avalanche wave;
-* :func:`top_k_required_batch` — k = 1 heaviest-neighbour mask via
-  segment reductions instead of a global 3-key lexsort (the largest
-  single win: the lexsort is seconds at n = 20 000, the reductions
-  tens of milliseconds);
-* :class:`TreeDistanceOracle` / :class:`BatchReplayLedger` — exact O(1)
-  hop distances over the final Borůvka forest (Euler tour + sparse-table
-  RMQ), powering incremental fragment-diameter tracking for the ST
-  timing replay (the sparse path re-runs a double BFS per merge);
-* :class:`BatchBeaconDiscovery` — the discovery seam; measurement kept
-  it identical to the per-cohort sparse decode (see its docstring).
-
-The batch Borůvka phase driver itself lives in
-:func:`repro.spanningtree.boruvka.distributed_boruvka_batch`.
-Differential conformance (``repro conformance diff sparse-batch``) and
-``tests/test_batch_parity.py`` hold the bitwise-identity contract.
+All answers are integers computed without rounding, so they equal the
+BFS values bit for bit (``tests/test_single_path.py`` checks both
+against a BFS reference).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
-from repro.core.pulsesync import SparsePulseSyncKernel
-from repro.radio.sparse_link import SparseLinkBudget
 from repro.spanningtree.unionfind import UnionFind
-
-
-class BatchPulseSyncKernel(SparsePulseSyncKernel):
-    """Sparse kernel with subset PRC advancement (the ``batch`` backend).
-
-    The shared run loop calls :meth:`_apply_prc` once per avalanche
-    wave.  The base implementation computes phases over all n
-    oscillators and discards the non-eligible results; here the eligible
-    indices are gathered first, so a wave of w receivers costs O(w).
-    Elementwise float ops on the gathered subset are bitwise what the
-    masked full-array form computes at the same positions, so runs are
-    seed-for-seed identical to the sparse (and dense) kernels.
-    """
-
-    def _apply_prc(
-        self,
-        eligible: np.ndarray,
-        next_fire: np.ndarray,
-        period_of: np.ndarray,
-        t: float,
-    ) -> np.ndarray:
-        idx = np.flatnonzero(eligible)
-        period_sub = period_of[idx]
-        theta = 1.0 - (next_fire[idx] - t) / period_sub
-        theta = np.clip(theta, 0.0, 1.0)
-        new_theta = np.minimum(self.prc.alpha * theta + self.prc.beta, 1.0)
-        fire_sub = new_theta >= 1.0
-        adjust = idx[~fire_sub]
-        next_fire[adjust] = t + (1.0 - new_theta[~fire_sub]) * period_sub[
-            ~fire_sub
-        ]
-        to_fire = np.zeros(self.n, dtype=bool)
-        to_fire[idx[fire_sub]] = True
-        return to_fire
-
-
-class BatchBeaconDiscovery(SparseBeaconDiscovery):
-    """Beacon discovery for the ``batch`` backend.
-
-    Identical to :class:`SparseBeaconDiscovery` — deliberately.  A
-    whole-period decode (gather every transmitter's edges at once, tag
-    each edge with its cohort's event id, resolve all capture races with
-    one global 4-key lexsort) was implemented and benchmarked first: at
-    the paper's density a beacon period has few occupied channels
-    (``period_slots × preambles`` ≈ 800) and therefore *large* cohorts
-    (thousands of edges each), so the per-cohort numpy calls are already
-    amortized, while the whole-period variant pays per-edge *array*
-    event-id hashing (``splitmix64`` over an E-sized event array instead
-    of one scalar subkey per cohort) and an E log E global sort where
-    the base class runs cache-resident per-cohort sorts.  Measured at
-    n = 20 000 the whole-period decode was ~3× slower; see
-    docs/performance.md ("Batch backend") for the numbers.
-
-    The class exists so the backend wiring stays uniform (`st`/`fst`
-    select the discovery class per backend) and as the documented seam
-    for a future decode that does beat the cohort loop.
-    """
-
-
-def top_k_required_batch(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:
-    """Segment-reduction :func:`~repro.core.beacon.top_k_required_csr`.
-
-    For the k = 1 case the ST seed needs, the per-receiver heaviest link
-    is a ``maximum.reduceat`` over the link CSR rows and the tie-break
-    (equal weights → lowest neighbour id) a masked ``minimum.reduceat``
-    — O(E) with no global lexsort.  The row maximum returned by reduceat
-    is one of the row's elements bitwise, so the equality mask selects
-    exactly the argmax candidates the lexsort version ranks first.
-    Falls back to the CSR implementation for k > 1.
-    """
-    if k != 1:
-        return top_k_required_csr(budget, k)
-    indptr = budget.link_indptr
-    nbr = budget.link_indices
-    w = budget.link_power_dbm
-    required = np.zeros(budget.edge_count, dtype=bool)
-    rows = np.flatnonzero(np.diff(indptr) > 0)
-    if rows.size == 0:
-        return required
-    starts = indptr[rows]
-    row_max = np.maximum.reduceat(w, starts)
-    is_max = w == np.repeat(row_max, np.diff(indptr)[rows])
-    best_nbr = np.minimum.reduceat(np.where(is_max, nbr, budget.n), starts)
-    pos = budget.edge_position(best_nbr, rows)
-    required[pos] = True
-    return required
 
 
 class TreeDistanceOracle:
@@ -215,19 +98,18 @@ class TreeDistanceOracle:
 
 
 class BatchReplayLedger:
-    """Incremental fragment bookkeeping for the batch ST timing replay.
+    """Incremental fragment bookkeeping for the ST timing replay.
 
-    Mirrors the sparse replay state (a
-    :class:`~repro.spanningtree.fragment.FragmentSet` plus a double-BFS
-    per merge) with O(α) sizes and O(1) diameters: per-fragment diameter
-    endpoints are maintained under the classic merge rule
+    Answers what a :class:`~repro.spanningtree.fragment.FragmentSet` plus
+    a double BFS per merge would, with O(α) sizes and O(1) diameters:
+    per-fragment diameter endpoints are maintained under the classic
+    merge rule
 
     ``diam(A ∪ B) = max(diam A, diam B, ecc_A(u) + 1 + ecc_B(v))``
 
     where ``ecc_T(x) = max(d(x, a), d(x, b))`` for any diameter pair
     ``(a, b)`` of T — four oracle distance queries per merge, all exact
-    integers, so every diameter equals the BFS value the sparse replay
-    computes.
+    integers, so every diameter equals the BFS value.
     """
 
     def __init__(self, n: int, forest_edges: list[tuple[int, int]]) -> None:

@@ -663,9 +663,14 @@ class SparseBeaconDiscovery:
 
         ``order`` lists this period's live transmitters sorted (stably)
         by channel; cohorts are its channel groups in ascending channel
-        order, and cohort ``c`` uses radio event ``event + c``.  The
-        batch backend overrides this with a whole-period vectorized
-        decode (:class:`repro.core.batch.BatchBeaconDiscovery`).
+        order, and cohort ``c`` uses radio event ``event + c``.
+
+        A whole-period decode (all cohorts' edges tagged with their
+        event ids, one global 4-key lexsort) was measured ~3× slower at
+        n = 20 000: periods have few occupied channels and so large
+        cohorts, which amortize the per-cohort numpy calls, while the
+        whole-period form pays per-edge event-id hashing and an
+        E log E sort (docs/performance.md).
         """
         sorted_chan = chan[order]
         boundaries = np.nonzero(np.diff(sorted_chan))[0] + 1
@@ -762,28 +767,50 @@ class SparseBeaconDiscovery:
 
 
 def top_k_required_csr(budget: SparseLinkBudget, k: int = 1) -> np.ndarray:
-    """Sparse :func:`top_k_required`: a radio-graph edge mask.
+    """CSR :func:`top_k_required`: a radio-graph edge mask.
 
     Each receiver must decode its ``k`` heaviest proximity neighbours;
     the mask marks the corresponding ``sender → receiver`` radio edges.
     Tie-break (equal weights → lowest neighbour id) matches the dense
     stable argsort.
+
+    For the k = 1 case the ST seed needs, the per-receiver heaviest link
+    is a ``maximum.reduceat`` over the link CSR rows and the tie-break a
+    masked ``minimum.reduceat`` — O(E) with no global lexsort.  The row
+    maximum is one of the row's elements bitwise, so the equality mask
+    selects exactly the argmax candidates.  k > 1 ranks each row with
+    one lexsort.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = budget.n
-    rx = budget.link_row_ids  # link graph is symmetric: row = receiver
+    indptr = budget.link_indptr
     nbr = budget.link_indices
     w = budget.link_power_dbm
+    required = np.zeros(budget.edge_count, dtype=bool)
+    if k == 1:
+        rows = np.flatnonzero(np.diff(indptr) > 0)
+        if rows.size == 0:
+            return required
+        starts = indptr[rows]
+        row_max = np.maximum.reduceat(w, starts)
+        is_max = w == np.repeat(row_max, np.diff(indptr)[rows])
+        best_nbr = np.minimum.reduceat(np.where(is_max, nbr, n), starts)
+        required[budget.edge_position(best_nbr, rows)] = True
+        return required
+    rx = budget.link_row_ids  # link graph is symmetric: row = receiver
     order = np.lexsort((nbr, -w, rx))
     rx_s = rx[order]
     nbr_s = nbr[order]
-    rank = np.arange(rx_s.size) - budget.link_indptr[rx_s]
+    rank = np.arange(rx_s.size) - indptr[rx_s]
     sel = rank < min(k, max(n - 1, 1))
-    required = np.zeros(budget.edge_count, dtype=bool)
-    pos = budget.edge_position(nbr_s[sel], rx_s[sel])
-    required[pos] = True
+    required[budget.edge_position(nbr_s[sel], rx_s[sel])] = True
     return required
+
+
+#: Former name of the k = 1 fast path, now inside :func:`top_k_required_csr`;
+#: kept because ``perfbench/layers.py`` times the layer under each name.
+top_k_required_batch = top_k_required_csr
 
 
 def top_k_required(weights: np.ndarray, adjacency: np.ndarray, k: int = 1) -> np.ndarray:

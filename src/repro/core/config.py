@@ -30,6 +30,11 @@ from repro.faults.plan import FaultConfig
 #: Table I device density: 50 devices per 100 m × 100 m.
 PAPER_DENSITY_PER_M2 = 50.0 / (100.0 * 100.0)
 
+#: Populations from which :attr:`PaperConfig.resolved_backend` reads
+#: ``"sparse"`` and ``"batch"`` (labels only; nothing branches on them).
+SPARSE_LABEL_DEVICES = 1024
+BATCH_LABEL_DEVICES = 16384
+
 
 @dataclass(frozen=True)
 class PaperConfig:
@@ -84,20 +89,12 @@ class PaperConfig:
     #: Fragment merge rule: plain Borůvka (default) or level-based GHS
     #: (the paper cites both: "Keeping in mind GHS and Boruvkas algorithm").
     merge_rule: Literal["boruvka", "ghs"] = "boruvka"
-    #: Execution path: ``"dense"`` (O(n²) matrices), ``"sparse"``
-    #: (grid + CSR, O(n + E)), ``"batch"`` (CSR layout with whole-array
-    #: per-period kernels for the 50k–100k tier), or ``"auto"`` (sparse
-    #: from ``sparse_threshold_devices`` up, batch from
-    #: ``batch_threshold_devices`` up).  All paths are seed-for-seed
-    #: identical (tests/test_sparse_parity.py, tests/test_batch_parity.py).
+    #: Accepted for compatibility and stamped into conformance documents,
+    #: but it selects nothing: every run builds the CSR link budget and
+    #: runs the same kernels (see :mod:`repro.core.network`).
     backend: Literal["auto", "dense", "sparse", "batch"] = "auto"
-    #: ``auto`` switches to the sparse path at this many devices.
-    sparse_threshold_devices: int = 1024
-    #: ``auto`` switches from sparse to the batch path at this many
-    #: devices (must not be below ``sparse_threshold_devices``).
-    batch_threshold_devices: int = 16384
     #: Two-sided shadowing clip in units of sigma (bounds the candidate
-    #: radius of the sparse path; applied identically on the dense path).
+    #: radius of the CSR link budget; the lazy dense views apply it too).
     shadow_clip_sigma: float = 3.0
     #: Hard cap on simulated time (ms).
     max_time_ms: float = 300_000.0
@@ -140,12 +137,6 @@ class PaperConfig:
             raise ValueError("ffa_rounds_per_phase must be >= 0")
         if self.backend not in ("auto", "dense", "sparse", "batch"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.sparse_threshold_devices < 2:
-            raise ValueError("sparse_threshold_devices must be >= 2")
-        if self.batch_threshold_devices < self.sparse_threshold_devices:
-            raise ValueError(
-                "batch_threshold_devices must be >= sparse_threshold_devices"
-            )
         if self.shadow_clip_sigma <= 0:
             raise ValueError("shadow_clip_sigma must be positive")
         if isinstance(self.faults, str):
@@ -176,12 +167,15 @@ class PaperConfig:
 
     @property
     def resolved_backend(self) -> Literal["dense", "sparse", "batch"]:
-        """The execution path ``"auto"`` resolves to for this size."""
-        if self.backend != "auto":
-            return self.backend
-        if self.n_devices >= self.batch_threshold_devices:
+        """Size-class label of this population.
+
+        A label only — it names the tier the retired backend selection
+        would have picked, so documents whose hashes are pinned (golden
+        config stamps, sharded city docs) keep their bytes.
+        """
+        if self.n_devices >= BATCH_LABEL_DEVICES:
             return "batch"
-        if self.n_devices >= self.sparse_threshold_devices:
+        if self.n_devices >= SPARSE_LABEL_DEVICES:
             return "sparse"
         return "dense"
 

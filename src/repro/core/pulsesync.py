@@ -34,22 +34,18 @@ discovery stalls exactly when synchronization succeeds.  The kernel
 optionally tracks decoding and can require a set of ordered pairs to be
 decoded before declaring convergence (``required_decoding``).
 
-Two interchangeable kernels share one run loop (:class:`_PulseSyncBase`):
+Two kernels share one run loop (:class:`_PulseSyncBase`):
 
-* :class:`PulseSyncKernel` — the dense reference, ``(k, n)`` row slices
-  of the mean-power matrix per wave;
-* :class:`SparsePulseSyncKernel` — CSR coupling graph, O(edges-of-wave)
-  per wave via segment reductions, with scratch arrays reused across
-  waves.  Requires counter-based fading; with
-  :class:`~repro.radio.fading.HashedRayleighFading` the two kernels are
-  seed-for-seed identical because every fading value is a pure function
-  of ``(key, event, tx, rx)`` and both kernels advance the same radio
-  event counter (one event per avalanche wave).
-
-A third kernel, :class:`repro.core.batch.BatchPulseSyncKernel`, subclasses
-the sparse one for the ``batch`` backend: it advances phases on the
-gathered eligible subset (O(|wave|) instead of O(n) per wave) — bitwise
-identical because elementwise float ops commute with gathering.
+* :class:`SparsePulseSyncKernel` — the kernel every simulation runs:
+  CSR coupling graph, O(edges-of-wave) per wave via segment reductions,
+  with scratch arrays reused across waves.  Requires counter-based
+  fading (:class:`~repro.radio.fading.HashedRayleighFading` or none).
+* :class:`PulseSyncKernel` — the matrix-input kernel, ``(k, n)`` row
+  slices of the mean-power matrix per wave.  It is kept for mobility
+  resync, which still drives it with stream-based fading.  With hashed
+  fading the two kernels are seed-for-seed identical: every fading value
+  is a pure function of ``(key, event, tx, rx)`` and both advance the
+  same radio event counter (one event per avalanche wave).
 
 The kernels are pure NumPy per wave (no per-node Python loops), following
 the HPC guide's vectorization rule.
@@ -570,17 +566,23 @@ class _PulseSyncBase:
 
         Mutates ``next_fire`` in place for receivers the pulse moved but
         did not push over threshold, and returns the boolean mask of
-        those it did (the next avalanche wave).  The batch kernel
-        overrides this with a gather/scatter subset variant — elementwise
-        float ops on a gathered subset are bitwise what the full-array
-        masked form computes, so both produce identical runs.
+        those it did (the next avalanche wave).  Only the eligible
+        indices are gathered, so a wave of w receivers costs O(w);
+        elementwise float ops on the gathered subset are bitwise what a
+        masked full-array form computes at the same positions.
         """
-        theta = 1.0 - (next_fire - t) / period_of
+        idx = np.flatnonzero(eligible)
+        period_sub = period_of[idx]
+        theta = 1.0 - (next_fire[idx] - t) / period_sub
         theta = np.clip(theta, 0.0, 1.0)
         new_theta = np.minimum(self.prc.alpha * theta + self.prc.beta, 1.0)
-        to_fire = eligible & (new_theta >= 1.0)
-        adjust = eligible & ~to_fire
-        next_fire[adjust] = t + (1.0 - new_theta[adjust]) * period_of[adjust]
+        fire_sub = new_theta >= 1.0
+        adjust = idx[~fire_sub]
+        next_fire[adjust] = t + (1.0 - new_theta[~fire_sub]) * period_sub[
+            ~fire_sub
+        ]
+        to_fire = np.zeros(self.n, dtype=bool)
+        to_fire[idx[fire_sub]] = True
         return to_fire
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Sharded city execution: process pool, halo merge, canonical result.
 
 :func:`run_city` executes every shard of a :class:`~repro.shard.tiling.
-CityConfig` — each an independent single-region simulation on the
-backend the config resolves to — then runs the halo exchange
+CityConfig` — each an independent single-region simulation — then
+runs the halo exchange
 (:mod:`repro.shard.halo`) for the cross-tile links, and merges the
 per-shard message bills, observability snapshots and results into one
 :class:`CityResult`.

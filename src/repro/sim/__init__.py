@@ -21,20 +21,14 @@ from repro.sim.errors import (
 )
 from repro.sim.process import Process, Timeout, WaitSignal, Signal
 from repro.sim.random import RandomStreams
-from repro.sim.resources import Container, Resource, Store
 from repro.sim.slots import SlotClock
-from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceRecorder, TraceRecord
 
 __all__ = [
-    "Container",
     "Engine",
     "EventHandle",
-    "PeriodicTimer",
     "Process",
     "RandomStreams",
-    "Resource",
-    "Store",
     "ScheduleInPastError",
     "Signal",
     "SimulationError",

@@ -39,10 +39,8 @@ def test_node_relabeling_across_seeds(seed):
     assert div is None, div.describe()
 
 
-def test_seed_translation_on_sparse_backend():
-    div = relation_seed_translation(
-        PaperConfig(n_devices=24, seed=3, backend="sparse")
-    )
+def test_seed_translation_larger_network():
+    div = relation_seed_translation(PaperConfig(n_devices=24, seed=3))
     assert div is None, div.describe()
 
 

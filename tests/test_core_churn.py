@@ -6,6 +6,9 @@ import pytest
 from repro.core.churn import ChurnSession
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
+from repro.spanningtree.boruvka import distributed_boruvka
+from repro.spanningtree.mst import maximum_spanning_tree, tree_weight
+from repro.spanningtree.repair import repair_after_failure
 
 
 @pytest.fixture(scope="module")
@@ -113,66 +116,98 @@ class TestRebuild:
 
 
 class TestSparseBackend:
-    """Churn runs entirely on the link CSR: parity with dense, no densify."""
+    """Churn runs entirely on the link CSR: it matches references over
+    the dense matrices of a second, identical network, and never
+    densifies its own."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        cfg = PaperConfig(n_devices=48, seed=11, backend="dense")
-        return (
-            D2DNetwork(cfg),
-            D2DNetwork(cfg.replace(backend="sparse")),
-        )
+        cfg = PaperConfig(n_devices=48, seed=11)
+        return D2DNetwork(cfg), D2DNetwork(cfg)
 
-    def _sessions(self, pair):
-        dense, sparse = pair
-        active = set(range(40))
-        return (
-            ChurnSession(dense, initially_active=set(active)),
-            ChurnSession(sparse, initially_active=set(active)),
-        )
+    ACTIVE = frozenset(range(40))
+
+    @staticmethod
+    def _masked(reference, active):
+        adj = reference.adjacency.copy()
+        inactive = [i for i in range(reference.n) if i not in active]
+        adj[inactive, :] = False
+        adj[:, inactive] = False
+        return adj
+
+    def _ratio(self, reference, tree, active):
+        w = reference.weights
+        oracle = maximum_spanning_tree(w, self._masked(reference, active))
+        return tree_weight(w, tree) / tree_weight(w, oracle)
 
     def test_initial_tree_and_ratio_match(self, pair):
-        sd, ss = self._sessions(pair)
-        assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
-        assert ss._optimality_ratio() == pytest.approx(
-            sd._optimality_ratio(), rel=1e-12
+        reference, network = pair
+        session = ChurnSession(network, initially_active=set(self.ACTIVE))
+        oracle = maximum_spanning_tree(
+            reference.weights, self._masked(reference, self.ACTIVE)
         )
-        assert ss.is_spanning
-        assert not pair[1].densified
+        assert sorted(session.tree_edges) == oracle
+        assert session._optimality_ratio() == pytest.approx(1.0, rel=1e-12)
+        assert session.is_spanning
+        assert not network.densified
 
     def test_join_parity(self, pair):
-        sd, ss = self._sessions(pair)
+        reference, network = pair
+        session = ChurnSession(network, initially_active=set(self.ACTIVE))
+        active = set(self.ACTIVE)
         for device in (40, 41, 42):
-            ed, es = sd.join(device), ss.join(device)
-            assert (ed.messages, ed.succeeded) == (es.messages, es.succeeded)
-            assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
-            assert es.optimality_ratio == pytest.approx(
-                ed.optimality_ratio, rel=1e-12
+            before = set(session.tree_edges)
+            w = np.where(reference.adjacency[device], reference.weights[device], -np.inf)
+            w[[i for i in range(reference.n) if i not in active]] = -np.inf
+            best = int(np.argmax(w))
+            event = session.join(device)
+            active.add(device)
+            assert event.succeeded
+            assert set(session.tree_edges) - before == {
+                (min(device, best), max(device, best))
+            }
+            assert event.optimality_ratio == pytest.approx(
+                self._ratio(reference, session.tree_edges, active), rel=1e-12
             )
-        assert not pair[1].densified
+        assert not network.densified
 
     def test_fail_parity_repairs_via_csr(self, pair):
-        sd, ss = self._sessions(pair)
+        reference, network = pair
+        session = ChurnSession(network, initially_active=set(self.ACTIVE))
+        tree = list(session.tree_edges)
+        active = set(self.ACTIVE)
         for device in (3, 17, 21):
-            ed, es = sd.fail(device), ss.fail(device)
-            assert (ed.messages, ed.succeeded) == (es.messages, es.succeeded)
-            assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
-        assert ss.is_spanning
-        assert not pair[1].densified
+            active.discard(device)
+            want = repair_after_failure(
+                tree,
+                set(range(reference.n)) - active,
+                reference.weights,
+                reference.adjacency,
+            )
+            event = session.fail(device)
+            assert (event.messages, event.succeeded) == (want.messages, want.repaired)
+            assert sorted(session.tree_edges) == sorted(want.tree_edges)
+            tree = want.tree_edges
+        assert session.is_spanning
+        assert not network.densified
 
     def test_rebuild_parity_and_optimality(self, pair):
-        sd, ss = self._sessions(pair)
+        reference, network = pair
+        session = ChurnSession(network, initially_active=set(self.ACTIVE))
         for device in (40, 41, 42, 43):
-            sd.join(device)
-            ss.join(device)
-        ed, es = sd.rebuild(), ss.rebuild()
-        assert ed.messages == es.messages
-        assert sorted(sd.tree_edges) == sorted(ss.tree_edges)
-        assert ss._optimality_ratio() == pytest.approx(1.0)
-        assert not pair[1].densified
+            session.join(device)
+        active = set(self.ACTIVE) | {40, 41, 42, 43}
+        want = distributed_boruvka(reference.weights, self._masked(reference, active))
+        event = session.rebuild()
+        assert event.messages == want.counter.total
+        assert sorted(session.tree_edges) == maximum_spanning_tree(
+            reference.weights, self._masked(reference, active)
+        )
+        assert session._optimality_ratio() == pytest.approx(1.0)
+        assert not network.densified
 
     def test_mixed_workload_event_log_parity(self, pair):
-        sd, ss = self._sessions(pair)
+        _, network = pair
         workload = [
             ("join", 44),
             ("fail", 7),
@@ -180,26 +215,22 @@ class TestSparseBackend:
             ("fail", 44),
             ("rebuild", None),
         ]
-        for kind, device in workload:
-            if kind == "join":
-                sd.join(device), ss.join(device)
-            elif kind == "fail":
-                sd.fail(device), ss.fail(device)
-            else:
-                sd.rebuild(), ss.rebuild()
-        assert [
-            (e.kind, e.device, e.messages, e.succeeded, e.active_count)
-            for e in sd.events
-        ] == [
-            (e.kind, e.device, e.messages, e.succeeded, e.active_count)
-            for e in ss.events
-        ]
-        assert np.allclose(
-            [e.optimality_ratio for e in sd.events],
-            [e.optimality_ratio for e in ss.events],
-        )
-        assert ss.is_spanning
-        assert not pair[1].densified, "churn must never densify a sparse net"
+        logs = []
+        for _ in range(2):
+            session = ChurnSession(network, initially_active=set(self.ACTIVE))
+            for kind, device in workload:
+                getattr(session, kind)(*(() if device is None else (device,)))
+            assert session.is_spanning
+            logs.append(
+                [
+                    (e.kind, e.device, e.messages, e.succeeded, e.active_count,
+                     e.optimality_ratio)
+                    for e in session.events
+                ]
+            )
+        assert logs[0] == logs[1]
+        assert [e[4] for e in logs[0]] == [41, 40, 41, 40, 40]
+        assert not network.densified, "churn must never densify"
 
 
 class TestGreedyRepair:
@@ -242,8 +273,7 @@ class TestGreedyRepair:
         assert sorted(a.tree_edges) == sorted(b.tree_edges)
 
     def test_sparse_backend_greedy(self):
-        config = PaperConfig(n_devices=2048, seed=41)
-        network = D2DNetwork(config.replace(backend="sparse"))
+        network = D2DNetwork(PaperConfig(n_devices=2048, seed=41))
         session = ChurnSession(
             network,
             set(range(1500)),

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.core.st import STSimulation, _tree_diameter
+from repro.core.batch import BatchReplayLedger
+from repro.core.st import STSimulation
 from repro.spanningtree.mst import is_spanning_tree, maximum_spanning_tree
 
 
@@ -15,17 +16,23 @@ def paper_run():
     return net, STSimulation(net).run()
 
 
+def _diameter_after(n: int, edges: list[tuple[int, int]], node: int) -> int:
+    """Fragment diameter the ST replay ledger reports after the merges."""
+    ledger = BatchReplayLedger(n, edges)
+    for u, v in edges:
+        ledger.merge(u, v)
+    return ledger.diameter_of(node)
+
+
 class TestTreeDiameter:
     def test_singleton(self):
-        assert _tree_diameter(0, {}) == 0
+        assert _diameter_after(1, [], 0) == 0
 
     def test_chain(self):
-        adj = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-        assert _tree_diameter(2, adj) == 3
+        assert _diameter_after(4, [(1, 2), (0, 1), (2, 3)], 2) == 3
 
     def test_star(self):
-        adj = {0: [1, 2, 3], 1: [0], 2: [0], 3: [0]}
-        assert _tree_diameter(3, adj) == 2
+        assert _diameter_after(4, [(0, 1), (0, 2), (0, 3)], 3) == 2
 
 
 class TestRun:
