@@ -12,7 +12,7 @@ import numpy as np
 
 from benchmarks.conftest import save_and_print, timed_pedantic, write_bench_json
 from repro.analysis.tables import format_table
-from repro.core.beacon import BeaconDiscovery
+from repro.core.beacon import SparseBeaconDiscovery
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
 from repro.core.st import STSimulation
@@ -106,25 +106,29 @@ def test_extension_duty_cycle_energy_latency(benchmark, results_dir, bench_json_
 
     net = D2DNetwork(PaperConfig(seed=36))
     cfg = net.config
-    required = net.adjacency & net.link_budget.adjacency(cfg.discovery_margin_db)
+    budget = net.sparse_budget
+    # FST's discovery requirement: link edges with margin to spare
+    required = budget.edge_is_link & (
+        budget.power_dbm >= cfg.threshold_dbm + cfg.discovery_margin_db
+    )
     model = EnergyModel()
 
     def run_duties():
         out = {}
         for duty in (1.0, 0.5, 0.25):
-            disc = BeaconDiscovery(
-                net.link_budget.mean_rx_dbm,
+            disc = SparseBeaconDiscovery(
+                budget,
                 threshold_dbm=cfg.threshold_dbm,
                 period_slots=cfg.period_slots,
                 slot_ms=cfg.slot_ms,
                 preambles=cfg.beacon_preambles,
                 listen_duty=duty,
-                fading=net.link_budget.fading,
             ).run(np.random.default_rng(36), required, max_periods=3000)
             out[duty] = disc
         return out
 
     runs, wall_s = timed_pedantic(benchmark, run_duties)
+    assert net.densified is False
     rows = []
     for duty, r in runs.items():
         rx_mj = model.listen_energy_mj(r.time_ms * duty, net.n)

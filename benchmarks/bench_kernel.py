@@ -3,7 +3,8 @@
 Unlike the figure benches (single-shot ``pedantic`` regenerations), these
 use pytest-benchmark's statistical timing to track the performance of the
 two inner loops everything else stands on: the pulse-sync kernel and the
-beacon-discovery cohort loop.  Under ``--benchmark-disable`` each times
+beacon-discovery cohort loop, built on the network's CSR budget exactly
+as the simulations build them.  Under ``--benchmark-disable`` each times
 its one call instead.
 """
 
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import timed_benchmark, write_bench_json
-from repro.core.beacon import BeaconDiscovery, top_k_required
+from repro.core.beacon import SparseBeaconDiscovery, top_k_required_csr
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
 
 
@@ -27,15 +28,17 @@ def network() -> D2DNetwork:
 
 def test_bench_pulse_sync_kernel(benchmark, network, bench_json_dir):
     cfg = network.config
-    kernel = PulseSyncKernel(
-        network.link_budget.mean_rx_dbm,
-        network.adjacency,
+    budget = network.sparse_budget
+    kernel = SparsePulseSyncKernel(
+        budget.link_indptr,
+        budget.link_indices,
+        budget.link_power_dbm,
         LinearPRC.from_dissipation(cfg.dissipation, cfg.epsilon),
         period_ms=cfg.period_ms,
         threshold_dbm=cfg.threshold_dbm,
         refractory_ms=cfg.refractory_ms,
         sync_window_ms=cfg.sync_window_ms,
-        fading=network.link_budget.fading,
+        fading=budget.fading,
     )
 
     def run():
@@ -43,6 +46,7 @@ def test_bench_pulse_sync_kernel(benchmark, network, bench_json_dir):
 
     result, wall_s = timed_benchmark(benchmark, run)
     assert result.converged
+    assert network.densified is False
     write_bench_json(
         bench_json_dir,
         "kernel_pulse_sync",
@@ -57,21 +61,22 @@ def test_bench_pulse_sync_kernel(benchmark, network, bench_json_dir):
 
 def test_bench_beacon_discovery(benchmark, network, bench_json_dir):
     cfg = network.config
-    disc = BeaconDiscovery(
-        network.link_budget.mean_rx_dbm,
+    budget = network.sparse_budget
+    disc = SparseBeaconDiscovery(
+        budget,
         threshold_dbm=cfg.threshold_dbm,
         period_slots=cfg.period_slots,
         slot_ms=cfg.slot_ms,
         preambles=cfg.beacon_preambles,
-        fading=network.link_budget.fading,
     )
-    required = top_k_required(network.weights, network.adjacency, k=1)
+    required = top_k_required_csr(budget, k=1)
 
     def run():
         return disc.run(np.random.default_rng(4), required, max_periods=500)
 
     result, wall_s = timed_benchmark(benchmark, run)
     assert result.complete
+    assert network.densified is False
     write_bench_json(
         bench_json_dir,
         "kernel_beacon_discovery",

@@ -26,10 +26,10 @@ from repro.core import (
     Device,
     FSTSimulation,
     PaperConfig,
-    PulseSyncKernel,
     PulseSyncResult,
     RunResult,
     STSimulation,
+    SparsePulseSyncKernel,
     TelemetrySample,
 )
 
@@ -43,10 +43,10 @@ __all__ = [
     "Device",
     "FSTSimulation",
     "PaperConfig",
-    "PulseSyncKernel",
     "PulseSyncResult",
     "RunResult",
     "STSimulation",
+    "SparsePulseSyncKernel",
     "TelemetrySample",
     "__version__",
 ]

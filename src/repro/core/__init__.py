@@ -8,19 +8,26 @@
   distributed firefly algorithm (Algorithms 1–3);
 * :class:`~repro.core.fst.FSTSimulation` — the FST baseline [17];
 * :class:`~repro.core.pulsesync.SparsePulseSyncKernel` — the vectorized
-  pulse-coupled synchronization kernel both algorithms run on the link
-  CSR (:class:`~repro.core.pulsesync.PulseSyncKernel` is its
-  matrix-input twin, kept for mobility resync).
+  pulse-coupled synchronization kernel both algorithms run on a CSR
+  coupling graph;
+* :class:`~repro.core.beacon.SparseBeaconDiscovery` — the slotted
+  discovery beaconing both algorithms run on the CSR radio graph
+  (:class:`~repro.core.beacon.BeaconDiscovery` is its ``(n, n)``-matrix
+  front end).
 """
 
-from repro.core.beacon import BeaconDiscovery, BeaconResult, top_k_required
+from repro.core.beacon import (
+    BeaconDiscovery,
+    BeaconResult,
+    SparseBeaconDiscovery,
+    top_k_required,
+)
 from repro.core.churn import ChurnEvent, ChurnSession
 from repro.core.config import PAPER_DENSITY_PER_M2, PaperConfig
 from repro.core.device import Device, make_devices
 from repro.core.fst import FSTSimulation, heavy_edge_forest_csr, stitch_forest_csr
 from repro.core.network import D2DNetwork
 from repro.core.pulsesync import (
-    PulseSyncKernel,
     PulseSyncResult,
     SparsePulseSyncKernel,
     TelemetrySample,
@@ -38,10 +45,10 @@ __all__ = [
     "FSTSimulation",
     "PAPER_DENSITY_PER_M2",
     "PaperConfig",
-    "PulseSyncKernel",
     "PulseSyncResult",
     "RunResult",
     "STSimulation",
+    "SparseBeaconDiscovery",
     "SparsePulseSyncKernel",
     "TelemetrySample",
     "heavy_edge_forest_csr",

@@ -34,20 +34,15 @@ discovery stalls exactly when synchronization succeeds.  The kernel
 optionally tracks decoding and can require a set of ordered pairs to be
 decoded before declaring convergence (``required_decoding``).
 
-Two kernels share one run loop (:class:`_PulseSyncBase`):
+One kernel runs every simulation: :class:`SparsePulseSyncKernel`, over a
+CSR coupling graph, O(edges-of-wave) per wave via segment reductions,
+with scratch arrays reused across waves.  Fading must be counter-based
+(:class:`~repro.radio.fading.HashedRayleighFading`) or absent: every
+fading value is a pure function of ``(key, event, tx, rx)``, and the
+run loop (:class:`_PulseSyncBase`) advances the radio event counter one
+event per avalanche wave.
 
-* :class:`SparsePulseSyncKernel` — the kernel every simulation runs:
-  CSR coupling graph, O(edges-of-wave) per wave via segment reductions,
-  with scratch arrays reused across waves.  Requires counter-based
-  fading (:class:`~repro.radio.fading.HashedRayleighFading` or none).
-* :class:`PulseSyncKernel` — the matrix-input kernel, ``(k, n)`` row
-  slices of the mean-power matrix per wave.  It is kept for mobility
-  resync, which still drives it with stream-based fading.  With hashed
-  fading the two kernels are seed-for-seed identical: every fading value
-  is a pure function of ``(key, event, tx, rx)`` and both advance the
-  same radio event counter (one event per avalanche wave).
-
-The kernels are pure NumPy per wave (no per-node Python loops), following
+The kernel is pure NumPy per wave (no per-node Python loops), following
 the HPC guide's vectorization rule.
 """
 
@@ -119,44 +114,13 @@ class PulseSyncResult:
 
 
 class _PulseSyncBase:
-    """Shared avalanche run loop; subclasses supply :meth:`_wave_reception`.
+    """Avalanche run loop; the kernel supplies :meth:`_wave_reception`.
 
     The loop advances a radio **event counter** — one event per avalanche
     wave — and hands it to the reception hook.  Counter-based fading
-    models key their draws on it, which is what keeps the dense and
-    sparse kernels on identical channel realizations.
+    keys its draws on it, so a wave's channel is a pure function of the
+    run key, the event and the link, whatever order the edges come in.
     """
-
-    def _init_common(
-        self,
-        n: int,
-        prc: LinearPRC,
-        *,
-        period_ms: float,
-        threshold_dbm: float,
-        refractory_ms: float,
-        sync_window_ms: float,
-        fading,
-        collision_policy: str,
-        capture_margin_db: float,
-    ) -> None:
-        if period_ms <= 0:
-            raise ValueError("period_ms must be positive")
-        if collision_policy not in ("tolerant", "capture", "destructive"):
-            raise ValueError(f"unknown collision policy {collision_policy!r}")
-        self.n = int(n)
-        self.prc = prc
-        self.period_ms = float(period_ms)
-        self.threshold_dbm = float(threshold_dbm)
-        self.refractory_ms = float(refractory_ms)
-        self.sync_window_ms = float(sync_window_ms)
-        self.fading = fading if fading is not None else NoFading()
-        self.collision_policy = collision_policy
-        self.capture_margin_db = float(capture_margin_db)
-        self._hashed_fading = hasattr(self.fading, "link_db")
-        self._stream_fading = not self._hashed_fading and not isinstance(
-            self.fading, NoFading
-        )
 
     def _wave_reception(
         self, firers: np.ndarray, event: int, need_decoding: bool
@@ -438,7 +402,7 @@ class _PulseSyncBase:
                 )
                 if faults is not None:
                     # stall deafness + per-(event, rx) PS erasure; both are
-                    # functions of identity, so dense/sparse agree exactly
+                    # functions of identity, not of evaluation order
                     lost_ps = faults.ps_lost(event, ids_u64)
                     ps_loss_count += int(np.count_nonzero(heard & lost_ps))
                     deaf = (stall_start <= t) & (t < stall_end)
@@ -649,26 +613,32 @@ class _PulseSyncBase:
         )
 
 
-class PulseSyncKernel(_PulseSyncBase):
-    """Dense reference kernel over a fixed radio environment.
+class SparsePulseSyncKernel(_PulseSyncBase):
+    """CSR coupling-graph kernel — O(wave edges) per wave.
+
+    The coupling graph — mesh links for FST, tree edges for ST fragments
+    and the final trim — is given in CSR form with the mean received
+    power per directed edge.  A pulse only affects receivers that are
+    (a) coupled to the firer and (b) above threshold after fading.  Each
+    wave gathers the firers' edge ranges
+    (:func:`~repro.radio.sparse_link.gather_rows`), applies per-edge
+    counter-based fading, and resolves detection/decoding with segment
+    reductions over the receiver-sorted edge list.  The strongest-copy
+    tie-break is equal powers → lowest transmitter id.
 
     Parameters
     ----------
-    mean_rx_dbm:
-        ``(n, n)`` mean received power matrix (dBm), −inf on the diagonal.
-    adjacency:
-        Boolean coupling mask — mesh for FST, tree edges for ST fragments.
-        A pulse only affects receivers that are (a) adjacent and (b) above
-        threshold after fading.
+    indptr, indices, edge_power_dbm:
+        CSR by transmitter: receivers and mean received power (dBm).
+        :meth:`from_edges` builds them from a directed edge list.
     prc:
         Linear PRC (eq. 5).  ``LinearPRC(1.0, 0.0)`` disables coupling —
         useful for pure (unsynchronized) discovery beaconing.
     period_ms, refractory_ms, sync_window_ms, threshold_dbm:
         Oscillator and convergence parameters (see PaperConfig).
     fading:
-        Per-transmission fading model; ``NoFading()`` for oracle runs.
-        Counter-based models (``link_db``) draw per ``(event, tx, rx)``;
-        stream models (``sample_db``) draw a fresh ``(k, n)`` block.
+        :class:`~repro.radio.fading.HashedRayleighFading` (one draw per
+        ``(event, tx, rx)``) or ``None``/``NoFading()`` for oracle runs.
     collision_policy:
         Pulse-detection rule for superposed same-instant transmissions:
         ``"tolerant"`` (any detected superposition is one pulse — the
@@ -676,116 +646,6 @@ class PulseSyncKernel(_PulseSyncBase):
         (strongest must clear the SIR margin) or ``"destructive"``
         (any collision destroys the pulse).  Identity decoding always
         uses the capture rule regardless of this policy.
-    """
-
-    def __init__(
-        self,
-        mean_rx_dbm: np.ndarray,
-        adjacency: np.ndarray,
-        prc: LinearPRC,
-        *,
-        period_ms: float,
-        threshold_dbm: float,
-        refractory_ms: float = 1.0,
-        sync_window_ms: float = 2.0,
-        fading=None,
-        collision_policy: str = "tolerant",
-        capture_margin_db: float = 6.0,
-    ) -> None:
-        mean_rx_dbm = np.asarray(mean_rx_dbm, dtype=float)
-        adjacency = np.asarray(adjacency, dtype=bool)
-        if mean_rx_dbm.shape != adjacency.shape or mean_rx_dbm.ndim != 2:
-            raise ValueError("mean_rx_dbm and adjacency must be equal square")
-        self.mean_rx = mean_rx_dbm
-        self.adjacency = adjacency
-        self._init_common(
-            mean_rx_dbm.shape[0],
-            prc,
-            period_ms=period_ms,
-            threshold_dbm=threshold_dbm,
-            refractory_ms=refractory_ms,
-            sync_window_ms=sync_window_ms,
-            fading=fading,
-            collision_policy=collision_policy,
-            capture_margin_db=capture_margin_db,
-        )
-        self._node_ids = np.arange(self.n, dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    def _wave_reception(
-        self, firers: np.ndarray, event: int, need_decoding: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        k = firers.size
-        power = self.mean_rx[firers]
-        if self._hashed_fading:
-            power = power + self.fading.link_db(
-                event, firers[:, None], self._node_ids[None, :]
-            )
-        elif self._stream_fading:
-            power = power + self.fading.sample_db((k, n))
-        det = (power >= self.threshold_dbm) & self.adjacency[firers]
-        return self._resolve_wave(det, power, firers, need_decoding)
-
-    def _resolve_wave(
-        self,
-        det: np.ndarray,
-        power: np.ndarray,
-        firers: np.ndarray,
-        need_decoding: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-receiver pulse detection and identity decoding for one wave."""
-        n = self.n
-        counts = det.sum(axis=0)
-        any_heard = counts >= 1
-
-        if not need_decoding and self.collision_policy != "capture":
-            if self.collision_policy == "tolerant":
-                heard = any_heard
-            else:  # destructive
-                heard = counts == 1
-            return heard, np.full(n, -1, dtype=int)
-
-        # identity decoding (capture rule, always)
-        masked = np.where(det, power, -np.inf)
-        strongest_row = np.argmax(masked, axis=0)
-        strongest_pow = masked[strongest_row, np.arange(n)]
-        linear = np.where(det, np.power(10.0, power / 10.0), 0.0)
-        total = linear.sum(axis=0)
-        signal = np.where(
-            any_heard, np.power(10.0, strongest_pow / 10.0), 0.0
-        )
-        noise = np.maximum(total - signal, 1e-30)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sir_db = 10.0 * np.log10(np.maximum(signal, 1e-300) / noise)
-        decodable = any_heard & (
-            (counts == 1) | (sir_db >= self.capture_margin_db)
-        )
-        decoded_sender = np.where(
-            decodable, firers[strongest_row], -1
-        ).astype(int)
-
-        # pulse detection per policy
-        if self.collision_policy == "tolerant":
-            heard = any_heard
-        elif self.collision_policy == "destructive":
-            heard = counts == 1
-        else:  # capture
-            heard = decodable
-        return heard, decoded_sender
-
-
-class SparsePulseSyncKernel(_PulseSyncBase):
-    """CSR coupling-graph kernel — O(wave edges) per wave.
-
-    The coupling graph (what :class:`PulseSyncKernel` expresses as the
-    boolean ``adjacency`` mask) is given in CSR form with the mean
-    received power per directed edge.  Each wave gathers the firers' edge
-    ranges (:func:`~repro.radio.sparse_link.gather_rows`), applies
-    per-edge counter-based fading, and resolves detection/decoding with
-    segment reductions over the receiver-sorted edge list.  The strongest
-    -copy tie-break (equal powers → lowest transmitter id) matches dense
-    ``np.argmax`` first-occurrence semantics exactly.
 
     Length-``n`` scratch arrays are preallocated once and reused across
     waves; nothing of size n² is ever allocated.
@@ -811,18 +671,21 @@ class SparsePulseSyncKernel(_PulseSyncBase):
         self.edge_power_dbm = np.asarray(edge_power_dbm, dtype=float)
         if self.indices.shape != self.edge_power_dbm.shape:
             raise ValueError("indices and edge_power_dbm must align")
-        self._init_common(
-            self.indptr.size - 1,
-            prc,
-            period_ms=period_ms,
-            threshold_dbm=threshold_dbm,
-            refractory_ms=refractory_ms,
-            sync_window_ms=sync_window_ms,
-            fading=fading,
-            collision_policy=collision_policy,
-            capture_margin_db=capture_margin_db,
-        )
-        if self._stream_fading:
+        if period_ms <= 0:
+            raise ValueError("period_ms must be positive")
+        if collision_policy not in ("tolerant", "capture", "destructive"):
+            raise ValueError(f"unknown collision policy {collision_policy!r}")
+        self.n = self.indptr.size - 1
+        self.prc = prc
+        self.period_ms = float(period_ms)
+        self.threshold_dbm = float(threshold_dbm)
+        self.refractory_ms = float(refractory_ms)
+        self.sync_window_ms = float(sync_window_ms)
+        self.fading = fading if fading is not None else NoFading()
+        self.collision_policy = collision_policy
+        self.capture_margin_db = float(capture_margin_db)
+        self._hashed_fading = hasattr(self.fading, "link_db")
+        if not self._hashed_fading and not isinstance(self.fading, NoFading):
             raise TypeError(
                 "SparsePulseSyncKernel needs counter-based fading "
                 "(HashedRayleighFading or NoFading), got "

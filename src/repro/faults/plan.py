@@ -17,9 +17,8 @@ of a run key and the *identity* of the event being decided —
 * clock drift:      ``f(key, device)``          (clipped normal factor)
 * event drop:       ``f(key, seq)``             (engine callbacks)
 
-so the CSR kernels and the matrix-input ones draw **identical** faults in
-any evaluation order, and a faulty run is bitwise reproducible across
-repeats
+so the kernels draw **identical** faults in any evaluation order, and a
+faulty run is bitwise reproducible across repeats
 (``tests/test_single_path.py``).  The plan key derives
 purely from ``config.seed`` — no generator stream is consumed — so
 enabling a plan with all probabilities zero perturbs nothing.

@@ -16,31 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PaperConfig
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.network import _pathloss_for
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
-from repro.radio.fading import NoFading, RayleighFading
-from repro.radio.link import LinkBudget
-from repro.radio.pathloss import PaperPathLoss
-from repro.radio.shadowing import LogNormalShadowing, NoShadowing
-from repro.spanningtree.boruvka import distributed_boruvka
-
-
-class _FrozenShadowing:
-    """Shadowing provider that replays one fixed link matrix."""
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self._matrix = matrix
-        self.sigma_db = float(matrix.std()) if matrix.size else 0.0
-
-    def link_matrix(self, n: int) -> np.ndarray:
-        if n != self._matrix.shape[0]:
-            raise ValueError(
-                f"frozen shadowing is {self._matrix.shape[0]}x..., asked for {n}"
-            )
-        return self._matrix
-
-    def sample(self, size=1) -> np.ndarray:
-        raise NotImplementedError("frozen shadowing only provides link_matrix")
+from repro.radio.fading import HashedRayleighFading, NoFading
+from repro.radio.shadowing import HashedShadowing, NoShadowing
+from repro.radio.sparse_link import SparseLinkBudget
+from repro.spanningtree.boruvka import distributed_boruvka_csr
 
 
 @dataclass(frozen=True)
@@ -81,43 +63,45 @@ class MobilitySession:
         self._prev_tree: set[tuple[int, int]] = set()
         # the per-link shadowing environment is drawn once and held fixed
         # across epochs (buildings don't reshuffle when devices walk), so
-        # tree churn measures *geometry* change, not channel re-rolls
+        # tree churn measures *geometry* change, not channel re-rolls: a
+        # hashed draw is a fixed function of the link, so one session
+        # key is one environment
         if config.shadowing_sigma_db > 0:
-            self._shadow = _FrozenShadowing(
-                LogNormalShadowing(
-                    config.shadowing_sigma_db, self.rng
-                ).link_matrix(config.n_devices)
+            self._shadow = HashedShadowing(
+                config.shadowing_sigma_db,
+                int(self.rng.integers(0, 2**63)),
+                clip_sigma=config.shadow_clip_sigma,
             )
         else:
             self._shadow = NoShadowing()
 
     # ------------------------------------------------------------------
-    def _build_budget(self) -> LinkBudget:
+    def _build_budget(self) -> SparseLinkBudget:
+        """The channel at the current positions, as ``D2DNetwork`` builds
+        it: configured path loss, session shadowing, fresh fading key."""
         cfg = self.config
-        shadowing = self._shadow
         fading = (
-            RayleighFading(self.rng)
+            HashedRayleighFading(int(self.rng.integers(0, 2**63)))
             if cfg.fading_model == "rayleigh"
             else NoFading()
         )
-        return LinkBudget(
+        return SparseLinkBudget(
             self.mover.positions,
-            PaperPathLoss(),
+            _pathloss_for(cfg),
             tx_power_dbm=cfg.tx_power_dbm,
             threshold_dbm=cfg.threshold_dbm,
-            shadowing=shadowing,
+            shadowing=self._shadow,
             fading=fading,
         )
 
     def run_epoch(self) -> MobilityEpoch:
         """Rebuild the channel at current positions, re-tree, re-sync."""
         cfg = self.config
+        n = cfg.n_devices
         budget = self._build_budget()
-        adjacency = budget.adjacency() & budget.adjacency().T
-        np.fill_diagonal(adjacency, False)
-        weights = 0.5 * (budget.mean_rx_dbm + budget.mean_rx_dbm.T)
-
-        boruvka = distributed_boruvka(weights, adjacency)
+        boruvka = distributed_boruvka_csr(
+            n, budget.link_indptr, budget.link_indices, budget.link_power_dbm
+        )
         tree = set(boruvka.edges)
         if self._prev_tree:
             stability = len(tree & self._prev_tree) / max(len(self._prev_tree), 1)
@@ -125,14 +109,16 @@ class MobilitySession:
             stability = 1.0
         self._prev_tree = tree
 
-        n = cfg.n_devices
-        tree_adj = np.zeros((n, n), dtype=bool)
-        for u, v in tree:
-            tree_adj[u, v] = tree_adj[v, u] = True
-
-        kernel = PulseSyncKernel(
-            budget.mean_rx_dbm,
-            tree_adj,
+        # both directions of each tree edge, powers from the radio CSR
+        eu = np.array([u for u, _ in boruvka.edges], dtype=np.int64)
+        ev = np.array([v for _, v in boruvka.edges], dtype=np.int64)
+        tx = np.concatenate((eu, ev))
+        rx = np.concatenate((ev, eu))
+        kernel = SparsePulseSyncKernel.from_edges(
+            n,
+            tx,
+            rx,
+            budget.edge_power_lookup(tx, rx),
             self.prc,
             period_ms=cfg.period_ms,
             threshold_dbm=cfg.threshold_dbm,
@@ -151,9 +137,9 @@ class MobilitySession:
             max_time_ms=cfg.max_time_ms,
         )
 
-        dist = budget.distance_m
+        pos = budget.positions
         edge_m = (
-            float(np.mean([dist[u, v] for u, v in tree])) if tree else 0.0
+            float(np.mean(np.hypot(*(pos[eu] - pos[ev]).T))) if tree else 0.0
         )
         record = MobilityEpoch(
             epoch=len(self.epochs),

@@ -11,7 +11,7 @@ Table I:
 * two orthogonal RACH codecs used as the paper's PS carriers.
 """
 
-from repro.radio.fading import NoFading, RayleighFading
+from repro.radio.fading import HashedRayleighFading, NoFading
 from repro.radio.interference import CollisionModel, SlotOutcome
 from repro.radio.link import LinkBudget, ReceivedSignal
 from repro.radio.pathloss import (
@@ -22,14 +22,15 @@ from repro.radio.pathloss import (
 )
 from repro.radio.rach import RACH_KEEP_ALIVE, RACH_MERGE, RACHCodec, RACHMessage
 from repro.radio.rssi import RSSIRanging, expected_ranging_error
-from repro.radio.shadowing import LogNormalShadowing, NoShadowing
+from repro.radio.shadowing import HashedShadowing, NoShadowing
 
 __all__ = [
     "CollisionModel",
     "FreeSpacePathLoss",
+    "HashedRayleighFading",
+    "HashedShadowing",
     "LinkBudget",
     "LogDistancePathLoss",
-    "LogNormalShadowing",
     "NoFading",
     "NoShadowing",
     "PaperPathLoss",
@@ -39,7 +40,6 @@ __all__ = [
     "RACH_KEEP_ALIVE",
     "RACH_MERGE",
     "RSSIRanging",
-    "RayleighFading",
     "ReceivedSignal",
     "SlotOutcome",
     "expected_ranging_error",

@@ -1,10 +1,9 @@
 """Counter-based (hash) channel randomness.
 
-The dense channel pipeline draws shadowing as a sequential ``(n, n)``
-matrix and fading as per-wave ``(k, n)`` blocks, which couples the random
-values to *how many* links happen to be materialized.  A sparse execution
-path that only touches O(E) links would consume the stream differently
-and diverge from the dense path on the very first draw.
+A stream-drawn channel (shadowing as a sequential ``(n, n)`` matrix,
+fading as per-wave ``(k, n)`` blocks) couples the random values to *how
+many* links happen to be materialized: a path that only touches O(E)
+links would consume the stream differently and see a different channel.
 
 The fix is the standard one from parallel/distributed simulation:
 **counter-based randomness**.  Every draw is a pure function of a run key
@@ -16,8 +15,8 @@ and the *identity* of the thing being drawn —
 
 so any subset of links can be evaluated in any order, in any layout
 (dense matrix or CSR edge list), and produce bitwise-identical values.
-This is what makes the sparse scale path seed-for-seed equal to the dense
-reference (see ``tests/test_sparse_parity.py``).
+This is what lets the CSR link budget and kernels stand in for an O(n²)
+brute-force reference exactly (see ``tests/test_single_path.py``).
 
 The generator is a SplitMix64 finalizer over a 64-bit pair code
 (``min << 32 | max`` for symmetric links, ``tx << 32 | rx`` for directed

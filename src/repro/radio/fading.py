@@ -6,6 +6,11 @@ exponential with unit mean.  We express the gain in dB so it composes
 additively with the path-loss/shadowing pipeline.  A fresh draw is made
 per (transmission, receiver) pair, which is the behaviour that matters to
 the protocols: a marginal link may hear one beacon and miss the next.
+
+The power gain ``g ~ Exp(1)``; the dB offset is ``10·log10(g)``, which has
+mean ``10·log10(e)·(−γ) ≈ −2.507 dB`` (γ = Euler–Mascheroni) — deep fades
+are common, large up-fades rare, exactly the asymmetry that makes NLOS
+detection flaky.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from repro.radio.chanhash import event_exponential
 #: Hashed Rayleigh fading clips the dB gain to this cap.  An Exp(1) power
 #: gain exceeds +6 dB (g ≈ 4) with probability e⁻⁴ ≈ 1.8 %; the cap bounds
 #: the link budget headroom the sparse candidate generator must allow for
-#: beacon decoding on sub-threshold-mean links.  Both the dense and the
-#: sparse path apply the same cap, so they stay seed-for-seed identical.
+#: beacon decoding on sub-threshold-mean links.
 FADE_CAP_DB = 6.0
 
 #: Floor matching the legacy ``max(gain, 1e-12)`` clamp (−120 dB).
@@ -30,9 +34,8 @@ class HashedRayleighFading:
 
     One draw per ``(event, tx, rx)``: a pure hash of the run key, the
     radio event counter and the directed pair (see
-    :mod:`repro.radio.chanhash`).  Dense kernels evaluate it on ``(k, n)``
-    grids, sparse kernels on CSR edge lists — same values either way,
-    which is what makes the two execution paths bit-identical.
+    :mod:`repro.radio.chanhash`).  The kernels evaluate it on CSR edge
+    lists; any other layout of the same pairs gets the same values.
 
     The dB offset is clipped to ``[FADE_FLOOR_DB, FADE_CAP_DB]``; see the
     cap's rationale above.
@@ -69,27 +72,6 @@ class HashedRayleighFading:
 
     def __repr__(self) -> str:
         return f"HashedRayleighFading(key={self.key})"
-
-
-class RayleighFading:
-    """Rayleigh (NLOS) fast fading expressed as a dB power offset.
-
-    The power gain ``g ~ Exp(1)``; the dB offset is ``10·log10(g)``, which
-    has mean ``10·log10(e)·(−γ) ≈ −2.507 dB`` (γ = Euler–Mascheroni) — deep
-    fades are common, large up-fades rare, exactly the asymmetry that makes
-    NLOS detection flaky.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def sample_db(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        gain = self._rng.exponential(1.0, size=size)
-        # Clamp so a pathological 0 draw cannot produce -inf dB.
-        return 10.0 * np.log10(np.maximum(gain, 1e-12))
-
-    def __repr__(self) -> str:
-        return "RayleighFading()"
 
 
 class NoFading:

@@ -5,6 +5,8 @@ a Gaussian zero-mean random variable ``x`` with variance σ² in dB
 (Table I: σ = 10 dB).  Shadowing is a property of the *environment between
 two positions*, so we model it per-link, symmetric, and static for the
 duration of a run — the standard assumption for stationary devices.
+:class:`HashedShadowing` draws it as a pure function of the run key and
+the link; :class:`NoShadowing` is the oracle-channel stand-in.
 """
 
 from __future__ import annotations
@@ -14,60 +16,20 @@ import numpy as np
 from repro.radio.chanhash import link_normal
 
 
-class LogNormalShadowing:
-    """Per-link symmetric log-normal shadowing.
-
-    Parameters
-    ----------
-    sigma_db:
-        Standard deviation in dB (Table I uses 10 dB).
-    rng:
-        NumPy generator for the link draws.
-    """
-
-    def __init__(self, sigma_db: float, rng: np.random.Generator) -> None:
-        if sigma_db < 0:
-            raise ValueError(f"sigma_db must be >= 0, got {sigma_db}")
-        self.sigma_db = float(sigma_db)
-        self._rng = rng
-
-    def link_matrix(self, n: int) -> np.ndarray:
-        """Symmetric ``n×n`` matrix of shadowing values (dB), zero diagonal.
-
-        Entry [i, j] is *added to the loss* on link i↔j (a positive draw
-        means extra attenuation).
-        """
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        draws = self._rng.normal(0.0, self.sigma_db, size=(n, n))
-        upper = np.triu(draws, k=1)
-        sym = upper + upper.T
-        np.fill_diagonal(sym, 0.0)
-        return sym
-
-    def sample(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        """Raw i.i.d. shadowing draws (dB) — used by the RSSI error model."""
-        return self._rng.normal(0.0, self.sigma_db, size=size)
-
-    def __repr__(self) -> str:
-        return f"LogNormalShadowing(sigma_db={self.sigma_db})"
-
-
 class HashedShadowing:
     """Counter-based per-link shadowing — layout-independent draws.
 
     Each link's value is a pure function of ``(key, {i, j})`` (see
     :mod:`repro.radio.chanhash`), so a dense ``link_matrix`` and a sparse
     per-edge :meth:`link_db` produce bitwise-identical values for the
-    same links.  This is the property the sparse scale path needs for
-    seed-for-seed parity with the dense reference.
+    same links, and a fixed key is a fixed shadowing environment
+    whichever links a run evaluates.
 
     Draws are clipped to ``±clip_sigma`` standard deviations.  Unbounded
     Gaussian shadowing admits arbitrarily large *gains*, which would make
     every pair of devices a potential link and defeat any spatial pruning;
     measured shadowing is bounded in practice, and the clip (default 3σ,
-    i.e. 30 dB at Table I's σ = 10 dB) perturbs 0.27 % of draws.  Both
-    the dense and sparse paths apply the same clip, so parity holds.
+    i.e. 30 dB at Table I's σ = 10 dB) perturbs 0.27 % of draws.
 
     Parameters
     ----------
@@ -128,9 +90,6 @@ class NoShadowing:
 
     def link_db(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(i, j).shape)
-
-    def sample(self, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        return np.zeros(size if isinstance(size, tuple) else (size,))
 
     def __repr__(self) -> str:
         return "NoShadowing()"

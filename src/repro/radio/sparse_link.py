@@ -20,8 +20,9 @@ Correctness of the pruning relies on both channel impairments being
 bounded: shadowing is clipped (:class:`~repro.radio.shadowing.
 HashedShadowing`) and hashed Rayleigh fading is capped, so the candidate
 radius ``r_max`` provably covers every possible radio-graph link.  Both
-bounds apply identically on the dense path, which is why the two paths
-are seed-for-seed interchangeable (``tests/test_sparse_parity.py``).
+bounds apply identically in the O(n²) :class:`~repro.radio.link.LinkBudget`,
+so the CSR link set and powers equal a brute-force build over the same
+positions and keys (``tests/test_single_path.py``).
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class SparseLinkBudget:
     Shares the dense :class:`~repro.radio.link.LinkBudget` constructor
     vocabulary; requires counter-based channel models
     (:class:`HashedShadowing`/:class:`NoShadowing` and
-    :class:`HashedRayleighFading`/:class:`NoFading`) because stream-based
-    draws cannot be evaluated per-edge.
+    :class:`HashedRayleighFading`/:class:`NoFading`), whose draws can be
+    evaluated per edge.
 
     Attributes
     ----------

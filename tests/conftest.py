@@ -10,7 +10,10 @@ it.  Run after an intentional behaviour change, then commit the diff:
 
 import pathlib
 
+import numpy as np
 import pytest
+
+from repro.core.pulsesync import SparsePulseSyncKernel
 
 GOLDENS_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -35,3 +38,15 @@ def goldens_dir() -> pathlib.Path:
 def update_goldens(request) -> bool:
     """True when the run should re-record goldens rather than assert."""
     return request.config.getoption("--update-goldens")
+
+
+def csr_pulse_kernel(mean_rx_dbm, adjacency, prc, **kwargs) -> SparsePulseSyncKernel:
+    """The pulse-sync kernel over the coupling pairs of a matrix radio.
+
+    ``adjacency[i, j]`` couples transmitter ``i`` to receiver ``j`` at
+    mean power ``mean_rx_dbm[i, j]``.
+    """
+    tx, rx = np.nonzero(adjacency)
+    return SparsePulseSyncKernel.from_edges(
+        mean_rx_dbm.shape[0], tx, rx, mean_rx_dbm[tx, rx], prc, **kwargs
+    )

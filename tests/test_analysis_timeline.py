@@ -10,9 +10,9 @@ from repro.analysis.timeline import (
     locking_summary,
     peak_concurrency,
 )
-from repro.core.pulsesync import PulseSyncKernel
 from repro.oscillator.prc import LinearPRC
 from repro.sim.trace import TraceRecorder
+from tests.conftest import csr_pulse_kernel
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def traced_run():
     n = 12
     m = np.full((n, n), -60.0)
     np.fill_diagonal(m, -np.inf)
-    kernel = PulseSyncKernel(
+    kernel = csr_pulse_kernel(
         m,
         ~np.eye(n, dtype=bool),
         LinearPRC.from_dissipation(3.0, 0.08),

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.topology import connectivity_probability, topology_stats
 from repro.core.config import PaperConfig
 from repro.core.network import D2DNetwork
+from repro.sim.random import RandomStreams
 
 
 class TestTopologyStats:
@@ -65,3 +66,25 @@ class TestConnectivityProbability:
     def test_validation(self):
         with pytest.raises(ValueError):
             connectivity_probability(PaperConfig(), attempts=0)
+
+    def test_follows_configured_pathloss(self):
+        """The estimate is of the channel D2DNetwork builds: free-space
+        loss reaches across the whole 400 m area, the paper's does not."""
+        cfg = PaperConfig(n_devices=12, area_side_m=400.0)
+        paper = connectivity_probability(cfg, attempts=30, seed=1)
+        free = connectivity_probability(
+            cfg.replace(pathloss_model="freespace"), attempts=30, seed=1
+        )
+        assert paper < 0.5
+        assert free == 1.0
+
+    def test_matches_first_network_draws(self):
+        """Each attempt is a D2DNetwork's first placement, clip included."""
+        cfg = PaperConfig(n_devices=10, area_side_m=300.0, shadow_clip_sigma=1.0)
+        streams = RandomStreams(4)
+        first = [
+            D2DNetwork(cfg, streams.spawn(a), require_connected=False)
+            for a in range(10)
+        ]
+        expected = sum(net.sparse_budget.is_connected() for net in first) / 10
+        assert connectivity_probability(cfg, attempts=10, seed=4) == expected

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.beacon import BeaconDiscovery, BeaconResult, top_k_required
-from repro.radio.fading import RayleighFading
+from repro.core.beacon import (
+    BeaconDiscovery,
+    BeaconResult,
+    SparseBeaconDiscovery,
+    top_k_required,
+    top_k_required_csr,
+)
+from repro.core.config import PaperConfig
+from repro.core.network import D2DNetwork
+from repro.radio.fading import HashedRayleighFading
 
 
 def varied_radio(n, seed=0, base_dbm=-60.0, spread_db=25.0):
@@ -100,12 +108,45 @@ class TestDiscovery:
     def test_fading_runs_complete(self):
         n = 10
         disc = make_discovery(
-            varied_radio(n, 9), fading=RayleighFading(np.random.default_rng(9))
+            varied_radio(n, 9), fading=HashedRayleighFading(9)
         )
         result = disc.run(
             np.random.default_rng(9), ~np.eye(n, dtype=bool), max_periods=500
         )
         assert result.complete
+
+
+class TestCsrEngine:
+    def test_matrix_front_end_matches_csr_engine(self):
+        """On a network, the all-pairs front end and the pruned radio
+        graph decode the same pairs from the same draws."""
+        net = D2DNetwork(PaperConfig(n_devices=40, seed=3))
+        budget = net.sparse_budget
+        cfg = net.config
+        opts = dict(
+            threshold_dbm=cfg.threshold_dbm,
+            period_slots=cfg.period_slots,
+            preambles=cfg.beacon_preambles,
+        )
+        required = top_k_required_csr(budget, k=2)
+        csr = SparseBeaconDiscovery(budget, **opts).run(
+            np.random.default_rng(5), required, max_periods=300
+        )
+        assert not net.densified
+        assert csr.complete
+        assert csr.decoded.shape == (budget.edge_count,)
+        assert not (required & ~csr.decoded).any()
+
+        tx, rx = budget.row_ids, budget.indices
+        req_matrix = np.zeros((net.n, net.n), dtype=bool)
+        req_matrix[rx[required], tx[required]] = True
+        dense = BeaconDiscovery(
+            net.link_budget.mean_rx_dbm, fading=budget.fading, **opts
+        ).run(np.random.default_rng(5), req_matrix, max_periods=300)
+        assert (dense.periods, dense.messages) == (csr.periods, csr.messages)
+        expected = np.zeros((net.n, net.n), dtype=bool)
+        expected[rx[csr.decoded], tx[csr.decoded]] = True
+        assert np.array_equal(dense.decoded, expected)
 
 
 class TestCollisionPhysics:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.pulsesync import PulseSyncKernel
+from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
-from repro.radio.fading import RayleighFading
+from repro.radio.fading import HashedRayleighFading
+from tests.conftest import csr_pulse_kernel
 
 
 def perfect_radio(n, power_dbm=-60.0):
@@ -40,7 +41,7 @@ def kernel_for(
 ):
     if adjacency is None:
         adjacency = ~np.eye(n, dtype=bool)
-    return PulseSyncKernel(
+    return csr_pulse_kernel(
         perfect_radio(n),
         adjacency,
         prc or LinearPRC.from_dissipation(3.0, 0.08),
@@ -137,7 +138,7 @@ class TestCollisionPolicies:
         """Capture-policy sync needs *variation* — fading rotates which copy
         of a group superposition captures, letting groups merge."""
         n = 8
-        kernel = PulseSyncKernel(
+        kernel = csr_pulse_kernel(
             varied_radio(n, seed=11),
             ~np.eye(n, dtype=bool),
             LinearPRC.from_dissipation(3.0, 0.08),
@@ -146,7 +147,7 @@ class TestCollisionPolicies:
             refractory_ms=1.0,
             sync_window_ms=2.0,
             collision_policy="capture",
-            fading=RayleighFading(np.random.default_rng(1)),
+            fading=HashedRayleighFading(1),
         )
         result = kernel.run(np.random.default_rng(11), max_time_ms=120_000.0)
         assert result.converged
@@ -155,7 +156,7 @@ class TestCollisionPolicies:
         """Without fading, synchronized groups are permanently undecodable
         superpositions under capture — the near-sync plateau persists."""
         n = 8
-        kernel = PulseSyncKernel(
+        kernel = csr_pulse_kernel(
             varied_radio(n, seed=11),
             ~np.eye(n, dtype=bool),
             LinearPRC.from_dissipation(3.0, 0.08),
@@ -192,7 +193,7 @@ class TestDecodingTracking:
     def _decode_kernel(self, n, seed):
         """Varied powers + fading: both are needed for the capture rule to
         rotate decode winners once the population synchronizes."""
-        return PulseSyncKernel(
+        return csr_pulse_kernel(
             varied_radio(n, seed=seed),
             ~np.eye(n, dtype=bool),
             LinearPRC.from_dissipation(3.0, 0.08),
@@ -200,7 +201,7 @@ class TestDecodingTracking:
             threshold_dbm=-95.0,
             refractory_ms=1.0,
             sync_window_ms=2.0,
-            fading=RayleighFading(np.random.default_rng(seed + 100)),
+            fading=HashedRayleighFading(seed + 100),
         )
 
     def test_decoding_stalls_after_synchronization(self):
@@ -257,17 +258,18 @@ class TestDecodingTracking:
 class TestFading:
     def test_fading_runs_still_converge(self):
         result = kernel_for(
-            15, fading=RayleighFading(np.random.default_rng(17))
+            15, fading=HashedRayleighFading(17)
         ).run(np.random.default_rng(18), max_time_ms=120_000.0)
         assert result.converged
 
 
 class TestValidation:
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            PulseSyncKernel(
-                perfect_radio(3),
-                np.zeros((2, 2), dtype=bool),
+        with pytest.raises(ValueError, match="align"):
+            SparsePulseSyncKernel(
+                np.array([0, 1, 2]),
+                np.array([1, 0]),
+                np.array([-60.0]),
                 LinearPRC(1.1, 0.01),
                 period_ms=100.0,
                 threshold_dbm=-95.0,

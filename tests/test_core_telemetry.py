@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.pulsesync import PulseSyncKernel
 from repro.oscillator.prc import LinearPRC
+from tests.conftest import csr_pulse_kernel
 
 
 def kernel_for(n):
     m = np.full((n, n), -60.0)
     np.fill_diagonal(m, -np.inf)
-    return PulseSyncKernel(
+    return csr_pulse_kernel(
         m,
         ~np.eye(n, dtype=bool),
         LinearPRC.from_dissipation(3.0, 0.08),

@@ -14,7 +14,6 @@ from repro import (
     PaperConfig,
     STSimulation,
 )
-from repro.core.pulsesync import PulseSyncKernel
 from repro.faults import InvariantChecker
 from repro.oscillator.integrate_fire import IntegrateFireNetwork
 from repro.oscillator.coupling import all_to_all_coupling
@@ -24,6 +23,7 @@ from repro.spanningtree.mst import (
     maximum_spanning_tree,
     tree_weight,
 )
+from tests.conftest import csr_pulse_kernel
 
 
 def _run_checked(sim_cls, net):
@@ -83,7 +83,7 @@ class TestPhaseModelVsIntegrateFire:
         # slotted kernel on a perfect radio
         mean_rx = np.full((n, n), -50.0)
         np.fill_diagonal(mean_rx, -np.inf)
-        kernel = PulseSyncKernel(
+        kernel = csr_pulse_kernel(
             mean_rx,
             ~np.eye(n, dtype=bool),
             LinearPRC.from_dissipation(3.0, 0.08),

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import PaperConfig
 from repro.mobility.resync import MobilitySession
 from repro.mobility.waypoint import RandomWaypoint
+from repro.radio.pathloss import FreeSpacePathLoss
 
 
 def make_session(n=25, side=80.0, seed=3):
@@ -66,3 +67,22 @@ class TestMobilitySession:
         _, _, session = make_session()
         epoch = session.run_epoch()
         assert epoch.mean_tree_edge_m > 0.0
+
+    def test_follows_configured_pathloss(self):
+        """The session builds the channel D2DNetwork would: free-space
+        loss links all 12 devices across 400 m, so the tree spans and
+        the re-sync converges."""
+        n, side = 12, 400.0
+        cfg = PaperConfig(
+            n_devices=n, area_side_m=side, seed=1, pathloss_model="freespace"
+        )
+        mover = RandomWaypoint(
+            np.random.default_rng(1).uniform(0, side, size=(n, 2)),
+            side,
+            rng=np.random.default_rng(2),
+        )
+        session = MobilitySession(cfg, mover, seed=3)
+        assert isinstance(session._build_budget().pathloss, FreeSpacePathLoss)
+        epoch = session.run_epoch()
+        assert len(session._prev_tree) == n - 1
+        assert epoch.converged

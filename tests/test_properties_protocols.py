@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.beacon import top_k_required
-from repro.core.pulsesync import PulseSyncKernel
 from repro.discovery.aggregation import aggregate_interests, flood_interests
 from repro.oscillator.prc import LinearPRC
 from repro.spanningtree.repair import repair_after_failure
 from repro.spanningtree.boruvka import distributed_boruvka
 from repro.spanningtree.mst import is_spanning_tree
+from tests.conftest import csr_pulse_kernel
 
 
 @st.composite
@@ -45,7 +45,7 @@ class TestKernelProperties:
         """Mirollo–Strogatz regime + full audibility ⇒ convergence."""
         m, seed = instance
         n = m.shape[0]
-        kernel = PulseSyncKernel(
+        kernel = csr_pulse_kernel(
             m,
             ~np.eye(n, dtype=bool),
             LinearPRC.from_dissipation(3.0, 0.08),
@@ -64,7 +64,7 @@ class TestKernelProperties:
     def test_time_and_counts_nonnegative_consistent(self, instance):
         m, seed = instance
         n = m.shape[0]
-        kernel = PulseSyncKernel(
+        kernel = csr_pulse_kernel(
             m,
             ~np.eye(n, dtype=bool),
             LinearPRC.from_dissipation(3.0, 0.08),

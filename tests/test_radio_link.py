@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.radio.fading import RayleighFading
+from repro.radio.fading import HashedRayleighFading
 from repro.radio.link import LinkBudget
 from repro.radio.pathloss import PaperPathLoss
-from repro.radio.shadowing import LogNormalShadowing
+from repro.radio.shadowing import HashedShadowing
 
 
 def make_budget(positions, **kwargs):
@@ -36,9 +36,7 @@ class TestMeanPower:
     def test_shadowing_shifts_power(self):
         pos = [[0.0, 0.0], [10.0, 0.0]]
         plain = make_budget(pos)
-        shadowed = make_budget(
-            pos, shadowing=LogNormalShadowing(10.0, np.random.default_rng(1))
-        )
+        shadowed = make_budget(pos, shadowing=HashedShadowing(10.0, key=1))
         assert shadowed.mean_power_dbm(0, 1) != plain.mean_power_dbm(0, 1)
 
 
@@ -82,7 +80,7 @@ class TestBroadcast:
         budget = LinkBudget(
             np.array([[0.0, 0.0], [89.0, 0.0]]),
             PaperPathLoss(),
-            fading=RayleighFading(np.random.default_rng(7)),
+            fading=HashedRayleighFading(7),
         )
         rng = np.random.default_rng(7)
         outcomes = [len(budget.broadcast(0, rng)) for _ in range(300)]

@@ -1,54 +1,56 @@
-"""Tests for log-normal shadowing."""
+"""Tests for log-normal shadowing (eq. 9) and its oracle stand-in."""
 
 import numpy as np
 import pytest
 
-from repro.radio.shadowing import LogNormalShadowing, NoShadowing
+from repro.radio.shadowing import HashedShadowing, NoShadowing
 
 
-class TestLogNormalShadowing:
+class TestHashedShadowing:
     def test_link_matrix_symmetric(self):
-        model = LogNormalShadowing(10.0, np.random.default_rng(1))
+        model = HashedShadowing(10.0, key=1)
         m = model.link_matrix(20)
         assert np.array_equal(m, m.T)
 
     def test_zero_diagonal(self):
-        model = LogNormalShadowing(10.0, np.random.default_rng(1))
+        model = HashedShadowing(10.0, key=1)
         assert np.all(np.diag(model.link_matrix(15)) == 0.0)
 
     def test_configured_deviation(self):
-        model = LogNormalShadowing(10.0, np.random.default_rng(2))
+        """σ = 10 dB, less the 3σ clip's 1.4 %."""
+        model = HashedShadowing(10.0, key=2)
         m = model.link_matrix(200)
         iu, ju = np.triu_indices(200, k=1)
         std = m[iu, ju].std()
         assert abs(std - 10.0) < 0.5
 
     def test_zero_mean(self):
-        model = LogNormalShadowing(10.0, np.random.default_rng(3))
+        model = HashedShadowing(10.0, key=3)
         m = model.link_matrix(200)
         iu, ju = np.triu_indices(200, k=1)
         assert abs(m[iu, ju].mean()) < 0.5
 
     def test_sample_shape(self):
-        model = LogNormalShadowing(5.0, np.random.default_rng(4))
-        assert model.sample(10).shape == (10,)
-        assert model.sample((3, 4)).shape == (3, 4)
+        """Per-link draws broadcast like their endpoint arrays."""
+        model = HashedShadowing(5.0, key=4)
+        assert model.link_db(np.arange(10), np.arange(10) + 1).shape == (10,)
+        assert model.link_db(np.arange(3)[:, None], np.arange(4)).shape == (3, 4)
 
     def test_zero_sigma_all_zero(self):
-        model = LogNormalShadowing(0.0, np.random.default_rng(5))
+        model = HashedShadowing(0.0, key=5)
         assert np.all(model.link_matrix(10) == 0.0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            LogNormalShadowing(-1.0, np.random.default_rng(0))
+            HashedShadowing(-1.0, key=0)
 
     def test_negative_n_rejected(self):
-        model = LogNormalShadowing(10.0, np.random.default_rng(0))
+        model = HashedShadowing(10.0, key=0)
         with pytest.raises(ValueError):
             model.link_matrix(-1)
 
     def test_empty_matrix(self):
-        model = LogNormalShadowing(10.0, np.random.default_rng(0))
+        model = HashedShadowing(10.0, key=0)
         assert model.link_matrix(0).shape == (0, 0)
 
 
@@ -56,5 +58,5 @@ class TestNoShadowing:
     def test_all_zero(self):
         model = NoShadowing()
         assert np.all(model.link_matrix(12) == 0.0)
-        assert np.all(model.sample((2, 3)) == 0.0)
+        assert np.all(model.link_db(np.arange(2)[:, None], np.arange(3)) == 0.0)
         assert model.sigma_db == 0.0

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading, RayleighFading
+from repro.core.beacon import SparseBeaconDiscovery
+from repro.core.pulsesync import SparsePulseSyncKernel
+from repro.oscillator.prc import LinearPRC
+from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading
 from repro.radio.link import LinkBudget
 from repro.radio.pathloss import PaperPathLoss
-from repro.radio.shadowing import HashedShadowing, LogNormalShadowing, NoShadowing
+from repro.radio.shadowing import HashedShadowing, NoShadowing
 from repro.radio.sparse_link import (
     SparseLinkBudget,
     csr_from_edges,
@@ -137,6 +140,23 @@ class TestDenseParity:
             sparse.edge_power_lookup(np.array([0]), np.array([0]))
 
 
+class _MatrixShadowing:
+    """Shadowing drawn as a whole (n, n) matrix: no per-link draw."""
+
+    sigma_db = 8.0
+    max_gain_db = 24.0
+
+    def link_matrix(self, n):
+        return np.zeros((n, n))
+
+
+class _StreamFading:
+    """Fading drawn from a generator stream: no per-(event, tx, rx) draw."""
+
+    def sample_db(self, size=1):
+        return np.zeros(size)
+
+
 class TestGuards:
     def test_stream_models_rejected(self):
         rng = np.random.default_rng(0)
@@ -147,7 +167,7 @@ class TestGuards:
                 PaperPathLoss(),
                 tx_power_dbm=23.0,
                 threshold_dbm=-95.0,
-                shadowing=LogNormalShadowing(8.0, rng),
+                shadowing=_MatrixShadowing(),
                 fading=NoFading(),
             )
         with pytest.raises(TypeError):
@@ -157,7 +177,23 @@ class TestGuards:
                 tx_power_dbm=23.0,
                 threshold_dbm=-95.0,
                 shadowing=NoShadowing(),
-                fading=RayleighFading(rng),
+                fading=_StreamFading(),
+            )
+        # the kernels take only counter-based fading too
+        budget = SparseLinkBudget(positions, PaperPathLoss())
+        with pytest.raises(TypeError):
+            SparseBeaconDiscovery(
+                budget, threshold_dbm=-95.0, period_slots=10, fading=_StreamFading()
+            )
+        with pytest.raises(TypeError):
+            SparsePulseSyncKernel(
+                budget.indptr,
+                budget.indices,
+                budget.power_dbm,
+                LinearPRC(1.1, 0.01),
+                period_ms=100.0,
+                threshold_dbm=-95.0,
+                fading=_StreamFading(),
             )
 
     def test_chunked_equals_unchunked(self):
