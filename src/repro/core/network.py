@@ -66,6 +66,16 @@ def _pathloss_for(config: PaperConfig):
     raise ValueError(f"unknown pathloss model {config.pathloss_model!r}")
 
 
+def _shadowing_for(config: PaperConfig, key: int):
+    if config.shadowing_sigma_db > 0:
+        return HashedShadowing(
+            config.shadowing_sigma_db,
+            key,
+            clip_sigma=config.shadow_clip_sigma,
+        )
+    return NoShadowing()
+
+
 class D2DNetwork:
     """Concrete network instance for one (config, seed) pair.
 
@@ -110,7 +120,7 @@ class D2DNetwork:
                 self.pathloss,
                 tx_power_dbm=config.tx_power_dbm,
                 threshold_dbm=config.threshold_dbm,
-                shadowing=self._make_shadowing(shadow_key),
+                shadowing=_shadowing_for(config, shadow_key),
                 fading=self._make_fading(),
             )
             if not require_connected or self._is_connected(budget):
@@ -139,15 +149,6 @@ class D2DNetwork:
         )
 
     # ------------------------------------------------------------------
-    def _make_shadowing(self, key: int):
-        if self.config.shadowing_sigma_db > 0:
-            return HashedShadowing(
-                self.config.shadowing_sigma_db,
-                key,
-                clip_sigma=self.config.shadow_clip_sigma,
-            )
-        return NoShadowing()
-
     def _make_fading(self):
         if self.config.fading_model == "rayleigh":
             return HashedRayleighFading(self.fading_key)
@@ -174,7 +175,7 @@ class D2DNetwork:
             self.pathloss,
             tx_power_dbm=self.config.tx_power_dbm,
             threshold_dbm=self.config.threshold_dbm,
-            shadowing=self._make_shadowing(self.shadow_key),
+            shadowing=_shadowing_for(self.config, self.shadow_key),
             fading=self._make_fading(),
         )
         adjacency = budget.adjacency()

@@ -12,7 +12,6 @@ Table I:
 """
 
 from repro.radio.fading import HashedRayleighFading, NoFading
-from repro.radio.interference import CollisionModel, SlotOutcome
 from repro.radio.link import LinkBudget, ReceivedSignal
 from repro.radio.pathloss import (
     FreeSpacePathLoss,
@@ -25,7 +24,6 @@ from repro.radio.rssi import RSSIRanging, expected_ranging_error
 from repro.radio.shadowing import HashedShadowing, NoShadowing
 
 __all__ = [
-    "CollisionModel",
     "FreeSpacePathLoss",
     "HashedRayleighFading",
     "HashedShadowing",
@@ -41,6 +39,5 @@ __all__ = [
     "RACH_MERGE",
     "RSSIRanging",
     "ReceivedSignal",
-    "SlotOutcome",
     "expected_ranging_error",
 ]

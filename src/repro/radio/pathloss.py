@@ -125,6 +125,40 @@ class FreeSpacePathLoss:
         return f"FreeSpacePathLoss(freq_ghz={self.freq_ghz})"
 
 
+def range_bracket_m(
+    model: PathLossModel,
+    tx_power_dbm: float,
+    threshold_dbm: float,
+    *,
+    hi: float = 10_000.0,
+    tol: float = 1e-6,
+) -> tuple[float, float]:
+    """Bisection bracket ``(lo, hi)`` around the mean-power link range.
+
+    ``lo`` meets the threshold and ``hi`` does not, ``hi − lo ≤ tol``: for
+    a monotone model every in-range distance is below ``hi``, so ``hi`` is
+    the radius a candidate search must use to miss no link.  Works for
+    any monotone model, including the discontinuous Table I model.
+    ``(0, 0)`` when no distance meets the threshold; ``(hi, hi)`` when the
+    given ``hi`` already does (callers pass a ``hi`` no pair exceeds).
+    """
+    budget = tx_power_dbm - threshold_dbm
+    if budget < 0:
+        return 0.0, 0.0
+    if model.loss_db(hi) <= budget:
+        return hi, hi
+    lo = MIN_DISTANCE_M
+    if model.loss_db(lo) > budget:
+        return 0.0, 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if model.loss_db(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def max_range_m(
     model: PathLossModel,
     tx_power_dbm: float,
@@ -133,23 +167,11 @@ def max_range_m(
     hi: float = 10_000.0,
     tol: float = 1e-6,
 ) -> float:
-    """Largest distance at which mean received power meets the threshold.
+    """Largest distance (within ``tol``) that meets the threshold.
 
-    Solved by bisection so it works for any monotone model, including the
-    discontinuous Table I model.
+    The inner end of :func:`range_bracket_m`: a distance known to be in
+    range, up to ``tol`` short of the true range.
     """
-    budget = tx_power_dbm - threshold_dbm
-    if budget < 0:
-        return 0.0
-    if model.loss_db(hi) <= budget:
-        return hi
-    lo = MIN_DISTANCE_M
-    if model.loss_db(lo) > budget:
-        return 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if model.loss_db(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return range_bracket_m(
+        model, tx_power_dbm, threshold_dbm, hi=hi, tol=tol
+    )[0]

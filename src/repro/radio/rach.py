@@ -9,8 +9,8 @@ Proximity Signals (PSs):
 Because LTE-A's OFDMA keeps distinct preambles orthogonal, transmissions
 on different codecs never interfere; transmissions on the *same* codec in
 the same slot may (intra-group interference), which the paper notes the
-firefly algorithm tolerates — and which :mod:`repro.radio.interference`
-models explicitly.
+firefly algorithm tolerates — the pulse-sync kernel's ``collision_policy``
+(:class:`~repro.core.pulsesync.SparsePulseSyncKernel`) models it.
 
 Codecs additionally carry a small ``service`` tag: the paper's application-
 level discovery multiplexes the service-interest identifier onto the codec

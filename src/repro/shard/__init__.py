@@ -25,9 +25,7 @@ from repro.shard.conformance import (
 )
 from repro.shard.halo import (
     border_band,
-    cross_link_power,
     cross_links,
-    cross_pairs,
     cross_radius_m,
     halo_reach,
     links_digest,
@@ -51,9 +49,7 @@ __all__ = [
     "city_channel_key",
     "city_config_summary",
     "city_from_summary",
-    "cross_link_power",
     "cross_links",
-    "cross_pairs",
     "cross_radius_m",
     "diff_shard",
     "halo_reach",

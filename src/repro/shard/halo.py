@@ -9,18 +9,19 @@ halo layer finds those **cross-tile** links deterministically:
   within the radius necessarily has both endpoints inside their tiles'
   bands (the segment between them crosses the shared border), so bands
   are a lossless exchange set.
-* Candidate pairs come from the same :class:`~repro.radio.spatial.CellGrid`
-  machinery the CSR link budget uses — cell side equal to the radius, the
-  half-neighbourhood offsets covering every adjacent cell pair exactly
-  once — followed by the exact distance filter (:func:`cross_pairs`).
+* Cross-tile links come from the one link evaluator the CSR budget
+  also uses (:func:`~repro.radio.sparse_link.evaluate_links`): cell-grid
+  candidates at the halo radius, the exact distance filter, then the
+  mean power against the threshold, chunk by chunk (:func:`cross_links`).
 * Every cross-tile pair is **owned by exactly one shard**: the one with
-  the smaller tile id.  The union over shards of
-  ``cross_pairs(..., owner=s)`` is a partition of the cross-tile pairs —
-  no drops, no double counting (``tests/test_properties_shard.py``).
-* Link power uses the city-level channel: the Table-I path loss plus
+  the smaller tile id, applied as the evaluator's pair filter.  The
+  union over shards of ``cross_links(..., owner=s)`` is a partition of
+  the cross-tile links — no drops, no double counting
+  (``tests/test_properties_shard.py``).
+* Link power uses the city-level channel: the configured path loss plus
   hashed shadowing keyed on :func:`~repro.shard.tiling.city_channel_key`
-  over **global** device ids (:func:`cross_link_power`) — a pure
-  function of (city seed, global pair), independent of sharding layout.
+  over **global** device ids — a pure function of (city seed, global
+  pair), independent of sharding layout.
 """
 
 from __future__ import annotations
@@ -31,16 +32,10 @@ import math
 import numpy as np
 
 from repro.core.config import PaperConfig
+from repro.core.network import _pathloss_for, _shadowing_for
 from repro.radio.pathloss import max_range_m
-from repro.radio.shadowing import HashedShadowing
+from repro.radio.sparse_link import evaluate_links
 from repro.shard.tiling import CityConfig, Tiling
-
-
-def _pathloss_for(config: PaperConfig):
-    # the same model selection D2DNetwork performs
-    from repro.core.network import _pathloss_for as select
-
-    return select(config)
 
 
 def cross_radius_m(config: PaperConfig) -> float:
@@ -48,7 +43,11 @@ def cross_radius_m(config: PaperConfig) -> float:
 
     Proximity is **mean** received power clearing the threshold, so the
     bound is the range at the maximum possible shadowing gain
-    (``sigma × clip``); fading never enters the mean.
+    (``sigma × clip``); fading never enters the mean.  It is the inner
+    end of the range bisection (:func:`~repro.radio.pathloss.max_range_m`),
+    so it can fall short of the true bound by up to the 1e-6 m
+    bisection tolerance; the value is recorded in city documents
+    (``halo.radius_m``) and therefore in their content hashes.
     """
     max_gain = (
         config.shadowing_sigma_db * config.shadow_clip_sigma
@@ -92,7 +91,8 @@ def border_band(
     return dist_to_border <= radius_m
 
 
-def cross_pairs(
+def cross_links(
+    city: CityConfig,
     positions_city: np.ndarray,
     ids: np.ndarray,
     tile_ids: np.ndarray,
@@ -100,8 +100,9 @@ def cross_pairs(
     *,
     owner: int | None = None,
     max_chunk_pairs: int = 1 << 21,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All cross-tile pairs within ``radius_m``, as global-id arrays.
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Cross-tile links within ``radius_m`` whose mean power clears the
+    threshold, on the city channel.
 
     Parameters
     ----------
@@ -114,163 +115,45 @@ def cross_pairs(
         ``(m,)`` owning tile per device.
     owner:
         When given, keep only pairs owned by this shard — the pair's
-        smaller tile id.  ``None`` returns every cross-tile pair.
+        smaller tile id.  ``None`` keeps every cross-tile pair.
 
-    Returns ``(gi, gj, dist)`` with ``gi < gj`` globally, sorted by
-    ``(gi, gj)`` — a canonical order independent of input permutation
-    and chunking.
+    One pass of :func:`~repro.radio.sparse_link.evaluate_links` — the
+    evaluator the CSR budget uses — with the cross-tile/owner pair
+    filter, shadow keys on global ids and the floor at the threshold;
+    candidates stream in bounded chunks and never materialize.  Returns
+    ``(candidates, gi, gj, power_dbm)``: the count of cross-tile pairs
+    within the radius, and the links with ``gi < gj`` globally, sorted
+    by ``(gi, gj)`` — a canonical order independent of input
+    permutation and chunking.
     """
-    from repro.radio.spatial import CellGrid
-
+    cfg = city.base
     positions = np.asarray(positions_city, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)
     tiles = np.asarray(tile_ids, dtype=np.int64)
     if radius_m <= 0 or positions.shape[0] < 2:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=float)
+        return 0, empty, empty.copy(), np.empty(0, dtype=float)
 
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-    grid = CellGrid(positions, radius_m)
-    x = np.ascontiguousarray(positions[:, 0])
-    y = np.ascontiguousarray(positions[:, 1])
-    r2 = radius_m * radius_m
-    for ci, cj in grid.pair_chunks(max_chunk_pairs=max_chunk_pairs):
+    def owned(ci: np.ndarray, cj: np.ndarray) -> np.ndarray:
         keep = tiles[ci] != tiles[cj]
         if owner is not None:
             keep &= np.minimum(tiles[ci], tiles[cj]) == owner
-        ci, cj = ci[keep], cj[keep]
-        if ci.size == 0:
-            continue
-        dx = x[ci] - x[cj]
-        dy = y[ci] - y[cj]
-        d2 = dx * dx + dy * dy
-        near = d2 <= r2
-        ci, cj = ci[near], cj[near]
-        if ci.size == 0:
-            continue
-        gi, gj = ids[ci], ids[cj]
-        lo = np.minimum(gi, gj)
-        hi = np.maximum(gi, gj)
-        out_i.append(lo)
-        out_j.append(hi)
-        out_d.append(np.sqrt(d2[near]))
-    if not out_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=float)
-    gi = np.concatenate(out_i)
-    gj = np.concatenate(out_j)
-    dist = np.concatenate(out_d)
-    order = np.lexsort((gj, gi))
-    return gi[order], gj[order], dist[order]
+        return keep
 
-
-def cross_link_power(
-    city: CityConfig, gi: np.ndarray, gj: np.ndarray, dist_m: np.ndarray
-) -> np.ndarray:
-    """Mean received power (dBm) on cross-tile links, city channel.
-
-    Same composition as the in-shard budgets — ``tx − loss − shadow`` —
-    but with shadowing keyed on the city channel key over global ids, so
-    the value is a pure function of (city seed, global pair, distance)
-    no matter which shard evaluates it.
-    """
-    cfg = city.base
-    loss = _pathloss_for(cfg).loss_db(np.asarray(dist_m, dtype=float))
-    if cfg.shadowing_sigma_db > 0:
-        shadow = HashedShadowing(
-            cfg.shadowing_sigma_db,
-            city.channel_key(),
-            clip_sigma=cfg.shadow_clip_sigma,
-        ).link_db(np.asarray(gi, dtype=np.int64), np.asarray(gj, dtype=np.int64))
-    else:
-        shadow = 0.0
-    return cfg.tx_power_dbm - loss - shadow
-
-
-def cross_links(
-    city: CityConfig,
-    positions_city: np.ndarray,
-    ids: np.ndarray,
-    tile_ids: np.ndarray,
-    radius_m: float,
-    *,
-    owner: int | None = None,
-    max_chunk_pairs: int = 1 << 21,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Streaming cross-tile link evaluation: candidates never materialize.
-
-    Equivalent to ``cross_pairs`` → ``cross_link_power`` → threshold
-    filter, but fused per candidate chunk, so peak memory is bounded by
-    the chunk size instead of the candidate count — at city scale the
-    distance-passing candidates outnumber the surviving links by orders
-    of magnitude.  Returns ``(candidates, gi, gj, power_dbm)`` with the
-    link arrays in the canonical ``(gi, gj)`` order; values are bitwise
-    identical to the unfused path (elementwise float ops, order-free).
-    """
-    from repro.radio.spatial import CellGrid
-
-    cfg = city.base
-    positions = np.asarray(positions_city, dtype=float)
-    ids = np.asarray(ids, dtype=np.int64)
-    tiles = np.asarray(tile_ids, dtype=np.int64)
-    empty = (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=float),
+    candidates, ci, cj, power = evaluate_links(
+        positions,
+        radius_m,
+        _pathloss_for(cfg),
+        cfg.tx_power_dbm,
+        cfg.threshold_dbm,
+        _shadowing_for(cfg, city.channel_key()),
+        ids=ids,
+        pair_filter=owned,
+        max_chunk_pairs=max_chunk_pairs,
     )
-    if radius_m <= 0 or positions.shape[0] < 2:
-        return 0, *empty
-    pathloss = _pathloss_for(cfg)
-    shadowing = (
-        HashedShadowing(
-            cfg.shadowing_sigma_db,
-            city.channel_key(),
-            clip_sigma=cfg.shadow_clip_sigma,
-        )
-        if cfg.shadowing_sigma_db > 0
-        else None
-    )
-    grid = CellGrid(positions, radius_m)
-    x = np.ascontiguousarray(positions[:, 0])
-    y = np.ascontiguousarray(positions[:, 1])
-    r2 = radius_m * radius_m
-    candidates = 0
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    out_p: list[np.ndarray] = []
-    for ci, cj in grid.pair_chunks(max_chunk_pairs=max_chunk_pairs):
-        keep = tiles[ci] != tiles[cj]
-        if owner is not None:
-            keep &= np.minimum(tiles[ci], tiles[cj]) == owner
-        ci, cj = ci[keep], cj[keep]
-        if ci.size == 0:
-            continue
-        dx = x[ci] - x[cj]
-        dy = y[ci] - y[cj]
-        d2 = dx * dx + dy * dy
-        near = d2 <= r2
-        ci, cj = ci[near], cj[near]
-        if ci.size == 0:
-            continue
-        candidates += int(ci.size)
-        a, b = ids[ci], ids[cj]
-        gi = np.minimum(a, b)
-        gj = np.maximum(a, b)
-        power = cfg.tx_power_dbm - pathloss.loss_db(np.sqrt(d2[near]))
-        if shadowing is not None:
-            power = power - shadowing.link_db(gi, gj)
-        ok = power >= cfg.threshold_dbm
-        if ok.any():
-            out_i.append(gi[ok])
-            out_j.append(gj[ok])
-            out_p.append(power[ok])
-    if not out_i:
-        return candidates, *empty
-    gi = np.concatenate(out_i)
-    gj = np.concatenate(out_j)
-    power = np.concatenate(out_p)
+    a, b = ids[ci], ids[cj]
+    gi = np.minimum(a, b)
+    gj = np.maximum(a, b)
     order = np.lexsort((gj, gi))
     return candidates, gi[order], gj[order], power[order]
 

@@ -2,8 +2,7 @@
 
 This subpackage is the substrate on which the D2D simulations run.  It
 provides a deterministic event-heap engine (:class:`~repro.sim.engine.Engine`),
-generator-based processes (:mod:`repro.sim.process`), LTE slot bookkeeping
-(:class:`~repro.sim.slots.SlotClock`), reproducible random-stream management
+reproducible random-stream management
 (:class:`~repro.sim.random.RandomStreams`) and structured event tracing
 (:class:`~repro.sim.trace.TraceRecorder`).
 
@@ -19,24 +18,17 @@ from repro.sim.errors import (
     SimulationLimitExceeded,
     StopSimulation,
 )
-from repro.sim.process import Process, Timeout, WaitSignal, Signal
 from repro.sim.random import RandomStreams
-from repro.sim.slots import SlotClock
 from repro.sim.trace import TraceRecorder, TraceRecord
 
 __all__ = [
     "Engine",
     "EventHandle",
-    "Process",
     "RandomStreams",
     "ScheduleInPastError",
-    "Signal",
     "SimulationError",
     "SimulationLimitExceeded",
-    "SlotClock",
     "StopSimulation",
-    "Timeout",
     "TraceRecord",
     "TraceRecorder",
-    "WaitSignal",
 ]

@@ -13,7 +13,6 @@ from repro.oscillator.sync_metrics import circular_spread, order_parameter
 from repro.radio.pathloss import LogDistancePathLoss, PaperPathLoss
 from repro.radio.rssi import RSSIRanging
 from repro.sim.engine import Engine
-from repro.sim.slots import SlotClock
 from repro.spanningtree.boruvka import distributed_boruvka
 from repro.spanningtree.mst import (
     is_spanning_tree,
@@ -234,16 +233,6 @@ class TestInfraProperties:
         eng.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
-
-    @given(
-        st.floats(min_value=1e-3, max_value=100.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    )
-    def test_slot_roundtrip(self, slot_ms, t):
-        clock = SlotClock(slot_ms)
-        slot = clock.slot_of(t)
-        assert clock.start_of(slot) <= t + 1e-9
-        assert t < clock.start_of(slot + 1) + slot_ms * 1e-9
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
     def test_summary_bounds(self, values):

@@ -2,11 +2,13 @@
 
 Two promises carry the whole halo design (docs/sharding.md):
 
-* **Partition** — every cross-tile pair within the halo radius that the
-  unsharded machinery would find is found by *exactly one* shard (the
-  pair's smaller tile id): no drops, no double counting, for random
-  positions, tile sizes and radii; and restricting the search to the
-  border bands loses nothing.
+* **Partition** — every cross-tile link (a pair within the halo radius
+  whose mean power clears the threshold) that a brute-force search
+  finds is found by *exactly one* shard (the pair's smaller tile id),
+  with the same power: no drops, no double counting, for random
+  positions, tile sizes and radii; restricting the search to the border
+  bands loses nothing; and a link's power does not depend on the
+  tiling.
 * **Injectivity** — shard-seed derivation is injective across
   (city_seed, shard_id) in practice, so no two shards anywhere in a
   campaign ever share a deployment stream.
@@ -18,8 +20,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard.halo import border_band, cross_pairs
-from repro.shard.tiling import Tiling, city_channel_key, shard_seed
+from repro.core.config import PaperConfig
+from repro.radio.pathloss import PaperPathLoss
+from repro.radio.shadowing import HashedShadowing
+from repro.shard.halo import border_band, cross_links, cross_radius_m, links_digest
+from repro.shard.tiling import CityConfig, Tiling, city_channel_key, shard_seed
+
+#: the city whose channel prices the links (its own tiling is unused:
+#: every test passes the tile ids of the layout it draws)
+CITY = CityConfig(PaperConfig(seed=7), 1, 1)
 
 
 @st.composite
@@ -39,15 +48,17 @@ def city_layouts(draw, max_n=48, max_tiles=4):
 radii = st.floats(min_value=0.5, max_value=300.0)
 
 
-def _brute_cross_pairs(positions, tiles, radius):
-    """Reference set: every cross-tile pair within the radius.
+def _brute_cross_links(positions, ids, tiles, radius, city=CITY):
+    """Reference: every cross-tile pair within the radius, and the links.
 
-    Uses the identical float expression as :func:`cross_pairs`
-    (``dx*dx + dy*dy <= r*r``) so the comparison is exact, not
-    tolerance-based.
+    Uses the identical float expressions as the link evaluator
+    (``dx*dx + dy*dy <= r*r``, then ``tx − loss(√d²) − shadow`` on the
+    global pair) so the comparison is exact, not tolerance-based.
+    Returns ``(candidates, {(gi, gj): power})`` with ``gi < gj``.
     """
     n = positions.shape[0]
-    out = set()
+    pairs = []
+    d2s = []
     r2 = radius * radius
     for i in range(n):
         for j in range(i + 1, n):
@@ -55,9 +66,55 @@ def _brute_cross_pairs(positions, tiles, radius):
                 continue
             dx = positions[i, 0] - positions[j, 0]
             dy = positions[i, 1] - positions[j, 1]
-            if dx * dx + dy * dy <= r2:
-                out.add((i, j))
-    return out
+            d2 = dx * dx + dy * dy
+            if d2 <= r2:
+                pairs.append((min(ids[i], ids[j]), max(ids[i], ids[j])))
+                d2s.append(d2)
+    if not pairs:
+        return 0, {}
+    cfg = city.base
+    gi, gj = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    shadow = HashedShadowing(
+        cfg.shadowing_sigma_db, city.channel_key(), clip_sigma=cfg.shadow_clip_sigma
+    )
+    power = (
+        cfg.tx_power_dbm
+        - PaperPathLoss().loss_db(np.sqrt(np.array(d2s)))
+        - shadow.link_db(gi, gj)
+    )
+    keep = power >= cfg.threshold_dbm
+    links = dict(zip(zip(gi[keep].tolist(), gj[keep].tolist()), power[keep].tolist()))
+    return len(pairs), links
+
+
+def _as_dict(gi, gj, power):
+    links = dict(zip(zip(gi.tolist(), gj.tolist()), power.tolist()))
+    assert len(links) == gi.size, "a link was emitted twice"
+    return links
+
+
+def _owned_links(city, positions, ids, tiles, radius, count):
+    """Union over owners of ``cross_links``; checks ownership on the way."""
+    candidates = 0
+    seen: dict[tuple[int, int], int] = {}
+    links: dict[tuple[int, int], float] = {}
+    tile_of = dict(zip(ids.tolist(), tiles.tolist()))
+    for owner in range(count):
+        n_cand, gi, gj, power = cross_links(
+            city, positions, ids, tiles, radius, owner=owner
+        )
+        candidates += n_cand
+        assert np.all(power >= city.base.threshold_dbm)
+        for (a, b), p in _as_dict(gi, gj, power).items():
+            assert a < b
+            assert (a, b) not in seen, (
+                f"link {(a, b)} found by shards {seen[(a, b)]} and {owner}"
+            )
+            seen[(a, b)] = owner
+            # ownership rule: the pair's smaller tile id
+            assert min(tile_of[a], tile_of[b]) == owner
+            links[(a, b)] = p
+    return candidates, links
 
 
 @settings(deadline=None, max_examples=60)
@@ -66,38 +123,36 @@ def test_every_cross_pair_found_by_exactly_one_shard(layout, radius):
     tiling, positions = layout
     ids = np.arange(positions.shape[0], dtype=np.int64)
     tiles = tiling.tile_of(positions)
-    expected = _brute_cross_pairs(positions, tiles, radius)
+    expected_candidates, expected = _brute_cross_links(positions, ids, tiles, radius)
 
-    seen: dict[tuple[int, int], int] = {}
-    for owner in range(tiling.count):
-        gi, gj, dist = cross_pairs(
-            positions, ids, tiles, radius, owner=owner
-        )
-        assert np.all(dist <= radius + 1e-9)
-        for a, b in zip(gi.tolist(), gj.tolist()):
-            assert a < b
-            assert (a, b) not in seen, (
-                f"pair {(a, b)} found by shards {seen[(a, b)]} and {owner}"
-            )
-            seen[(a, b)] = owner
-            # ownership rule: the pair's smaller tile id
-            assert min(tiles[a], tiles[b]) == owner
-
-    assert set(seen) == expected, (
-        f"dropped: {expected - set(seen)}; extra: {set(seen) - expected}"
+    candidates, links = _owned_links(
+        CITY, positions, ids, tiles, radius, tiling.count
     )
+    assert candidates == expected_candidates
+    assert set(links) == set(expected), (
+        f"dropped: {set(expected) - set(links)}; extra: {set(links) - set(expected)}"
+    )
+    assert links == expected  # bitwise-equal powers
 
 
 @settings(deadline=None, max_examples=40)
 @given(city_layouts(), radii)
 def test_unowned_union_equals_partition(layout, radius):
     tiling, positions = layout
-    ids = np.arange(positions.shape[0], dtype=np.int64)
+    # shuffled, sparse global ids: links are keyed and ordered on them
+    rng = np.random.default_rng(positions.shape[0])
+    ids = rng.permutation(10 * max(positions.shape[0], 1))[: positions.shape[0]]
+    ids = ids.astype(np.int64)
     tiles = tiling.tile_of(positions)
-    gi, gj, _ = cross_pairs(positions, ids, tiles, radius, owner=None)
-    unowned = set(zip(gi.tolist(), gj.tolist()))
-    assert len(unowned) == gi.size, "owner=None emitted a duplicate"
-    assert unowned == _brute_cross_pairs(positions, tiles, radius)
+    n_cand, gi, gj, power = cross_links(CITY, positions, ids, tiles, radius)
+    assert np.all(gi < gj)
+    assert np.all(np.diff(gi) >= 0), "links not in canonical (gi, gj) order"
+    assert (n_cand, _as_dict(gi, gj, power)) == _brute_cross_links(
+        positions, ids, tiles, radius
+    )
+    assert (n_cand, _as_dict(gi, gj, power)) == _owned_links(
+        CITY, positions, ids, tiles, radius, tiling.count
+    )
 
 
 @settings(deadline=None, max_examples=40)
@@ -118,14 +173,69 @@ def test_border_bands_lose_no_cross_pairs(layout, radius):
         band = border_band(positions[mine], tiling, tile, radius)
         in_band[np.flatnonzero(mine)[band]] = True
 
-    full_i, full_j, _ = cross_pairs(positions, ids, tiles, radius)
+    full = cross_links(CITY, positions, ids, tiles, radius)
     sub = np.flatnonzero(in_band)
-    band_i, band_j, _ = cross_pairs(
-        positions[sub], ids[sub], tiles[sub], radius
+    banded = cross_links(CITY, positions[sub], ids[sub], tiles[sub], radius)
+    assert full[0] == banded[0]
+    for a, b in zip(full[1:], banded[1:]):
+        assert np.array_equal(a, b)
+
+
+@settings(deadline=None, max_examples=40)
+@given(city_layouts(max_tiles=3), radii, st.integers(min_value=2, max_value=3))
+def test_link_power_does_not_depend_on_tiling(layout, radius, split):
+    """Subdividing every tile only adds cross-tile pairs; a link present
+    under both tilings has bitwise the same power, and a different city
+    seed prices it differently."""
+    tiling, positions = layout
+    ids = np.arange(positions.shape[0], dtype=np.int64)
+    fine = Tiling(tiling.rows * split, tiling.cols * split, tiling.tile_side_m / split)
+    coarse_links = _as_dict(
+        *cross_links(CITY, positions, ids, tiling.tile_of(positions), radius)[1:]
     )
-    assert set(zip(full_i.tolist(), full_j.tolist())) == set(
-        zip(band_i.tolist(), band_j.tolist())
+    fine_links = _as_dict(
+        *cross_links(CITY, positions, ids, fine.tile_of(positions), radius)[1:]
     )
+    assert set(coarse_links) <= set(fine_links)
+    assert all(fine_links[k] == p for k, p in coarse_links.items())
+
+    other = CityConfig(CITY.base.replace(seed=CITY.base.seed + 1), 1, 1)
+    other_links = _as_dict(
+        *cross_links(other, positions, ids, fine.tile_of(positions), radius)[1:]
+    )
+    shared = set(fine_links) & set(other_links)
+    assert not shared or any(fine_links[k] != other_links[k] for k in shared)
+
+
+def test_city_halo_matches_brute_force():
+    """At the halo radius of a real 2×2 city every owner's links, their
+    count of candidates and their digest equal the brute-force reference."""
+    city = CityConfig(PaperConfig(n_devices=256, seed=3), 2, 2)
+    rng = np.random.default_rng(0)
+    positions = rng.uniform(0, city.base.area_side_m, size=(256, 2))
+    ids = np.arange(256, dtype=np.int64)
+    tiles = city.tiling.tile_of(positions)
+    radius = cross_radius_m(city.base)
+    for owner in range(city.count):
+        owned = np.flatnonzero(
+            np.isin(tiles, [t for t in range(city.count) if t >= owner])
+        )
+        n_cand, gi, gj, power = cross_links(
+            city, positions, ids, tiles, radius, owner=owner
+        )
+        # brute force over this owner's pairs: one endpoint in its tile
+        mine = tiles[owned] == owner
+        expected_candidates, expected = _brute_cross_links(
+            positions[owned], ids[owned], np.where(mine, 0, 1), radius, city
+        )
+        assert n_cand == expected_candidates
+        assert _as_dict(gi, gj, power) == expected
+        keys = sorted(expected)
+        assert links_digest(gi, gj, power) == links_digest(
+            np.array([k[0] for k in keys], dtype=np.int64),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([expected[k] for k in keys]),
+        )
 
 
 @settings(deadline=None, max_examples=100)

@@ -9,6 +9,7 @@ from repro.radio.pathloss import (
     PaperPathLoss,
     PathLossModel,
     max_range_m,
+    range_bracket_m,
 )
 
 
@@ -108,6 +109,13 @@ class TestMaxRange:
         lo = max_range_m(PaperPathLoss(), 10.0, -95.0)
         hi = max_range_m(PaperPathLoss(), 23.0, -95.0)
         assert hi > lo
+
+    def test_bracket_encloses_the_range(self):
+        model = PaperPathLoss()
+        lo, hi = range_bracket_m(model, 23.0, -95.0)
+        assert model.loss_db(lo) <= 118.0 < model.loss_db(hi)
+        assert 0.0 < hi - lo <= 1e-6
+        assert max_range_m(model, 23.0, -95.0) == lo
 
     def test_unbounded_budget_hits_cap(self):
         r = max_range_m(LogDistancePathLoss(2.0, 0.0), 200.0, -100.0, hi=500.0)

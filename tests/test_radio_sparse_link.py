@@ -122,6 +122,18 @@ class TestDenseParity:
         got[iu, ju] = True
         assert np.array_equal(got, want)
 
+    def test_link_at_the_range_boundary_is_kept(self):
+        """A pair just inside the true link range but beyond the inner end
+        of the range bisection is a link in both builds: the candidate
+        radius bounds the range from above."""
+        positions = np.array([[0.0, 0.0], [89.1250938, 0.0]])
+        kw = dict(tx_power_dbm=23.0, threshold_dbm=-95.0)
+        dense = LinkBudget(positions, PaperPathLoss(), **kw)
+        sparse = SparseLinkBudget(positions, PaperPathLoss(), **kw)
+        assert dense.adjacency()[0, 1]
+        assert sparse.link_count == 2
+        assert PaperPathLoss().loss_db(sparse.r_max_m) > 23.0 - (-95.0)
+
     def test_adjacency_pairs_below_headroom_rejected(self):
         _, sparse = _make_pair()
         with pytest.raises(ValueError):

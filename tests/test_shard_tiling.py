@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import PaperConfig
-from repro.shard.halo import (
-    cross_link_power,
-    cross_links,
-    cross_pairs,
-    cross_radius_m,
-    halo_reach,
-    links_digest,
-)
+from repro.shard.halo import cross_radius_m, halo_reach, links_digest
 from repro.shard.tiling import (
     CityConfig,
     Tiling,
@@ -126,19 +119,6 @@ class TestHaloPrimitives:
         assert halo_reach(t, 100.0) == 1
         assert halo_reach(t, 0.0) == 1  # floor
 
-    def test_cross_link_power_is_shard_independent(self):
-        base = PaperConfig(n_devices=64, seed=1)
-        gi = np.array([3, 17], dtype=np.int64)
-        gj = np.array([40, 55], dtype=np.int64)
-        dist = np.array([25.0, 60.0])
-        a = cross_link_power(CityConfig(base, 2, 2), gi, gj, dist)
-        b = cross_link_power(CityConfig(base, 1, 1), gi, gj, dist)
-        assert np.array_equal(a, b), "city channel must not depend on tiling"
-        c = cross_link_power(
-            CityConfig(base.replace(seed=2), 2, 2), gi, gj, dist
-        )
-        assert not np.array_equal(a, c)
-
     def test_links_digest_sensitive_to_every_array(self):
         gi = np.array([1, 2], dtype=np.int64)
         gj = np.array([5, 6], dtype=np.int64)
@@ -157,30 +137,6 @@ class TestHaloPrimitives:
         assert res.halo["candidates"] == 0
         assert res.messages == sum(
             int(s["runs"]["st"]["result"]["messages"]) for s in res.shards
-        )
-
-    def test_cross_links_matches_unfused_pipeline(self):
-        """The streaming path must be bitwise-equal to
-        cross_pairs → cross_link_power → threshold filter."""
-        city = CityConfig(PaperConfig(n_devices=256, seed=3), 2, 2)
-        rng = np.random.default_rng(0)
-        positions = rng.uniform(0, city.base.area_side_m, size=(256, 2))
-        ids = np.arange(256, dtype=np.int64)
-        tiles = city.tiling.tile_of(positions)
-        radius = cross_radius_m(city.base)
-
-        gi, gj, dist = cross_pairs(positions, ids, tiles, radius, owner=0)
-        power = cross_link_power(city, gi, gj, dist)
-        keep = power >= city.base.threshold_dbm
-        n_cand, fgi, fgj, fpower = cross_links(
-            city, positions, ids, tiles, radius, owner=0
-        )
-        assert n_cand == gi.size
-        assert np.array_equal(fgi, gi[keep])
-        assert np.array_equal(fgj, gj[keep])
-        assert np.array_equal(fpower, power[keep])
-        assert links_digest(fgi, fgj, fpower) == links_digest(
-            gi[keep], gj[keep], power[keep]
         )
 
     def test_reach_covers_diagonal_neighbors(self):

@@ -35,7 +35,7 @@ from repro.core.batch import BatchReplayLedger, TreeDistanceOracle
 from repro.core.beacon import BeaconDiscovery, top_k_required, top_k_required_csr
 from repro.core.config import BATCH_LABEL_DEVICES, SPARSE_LABEL_DEVICES, PaperConfig
 from repro.core.fst import FSTSimulation, heavy_edge_forest_csr, stitch_forest_csr
-from repro.core.network import D2DNetwork
+from repro.core.network import D2DNetwork, _shadowing_for
 from repro.core.st import STSimulation
 from repro.faults import InvariantChecker
 from repro.faults.plan import FaultConfig, FaultPlan
@@ -147,7 +147,7 @@ def _brute_force_links(net: D2DNetwork) -> tuple[np.ndarray, np.ndarray]:
         net.pathloss,
         tx_power_dbm=net.config.tx_power_dbm,
         threshold_dbm=net.config.threshold_dbm,
-        shadowing=net._make_shadowing(net.shadow_key),
+        shadowing=_shadowing_for(net.config, net.shadow_key),
         fading=net._make_fading(),
     )
     adjacency = budget.adjacency()
