@@ -8,9 +8,8 @@ twin.
 
 Rows keep the ``backend`` labels they had when three execution backends
 existed — ``batch`` for single-region rows, ``sparse`` on the sharded
-row — so the committed baseline (recorded then) still gates them row for
-row.  Its ``dense``/``sparse`` single-region rows show up as visible
-skips until the baseline is next refreshed.
+row — so baselines recorded before and after the backends merged gate
+them row for row.
 
 Artifact: ``BENCH_scale.json`` — consumed by
 ``scripts/check_bench_regression.py`` against the committed baseline in

@@ -94,6 +94,21 @@ def directed_code(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
     return (tx << _U64(32)) | (rx & _MASK32)
 
 
+def _box_muller_radius(key: int, code: np.ndarray) -> np.ndarray:
+    u1 = _uniform(code, derive_key(key, SALT_SHADOW_U1))
+    return np.sqrt(-2.0 * np.log(u1))
+
+
+def link_radius(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Box–Muller radius ``R = √(−2 ln u₁)`` of :func:`link_normal`.
+
+    ``link_normal = R · cos 2πu₂`` with ``|cos| ≤ 1``, and rounding is
+    monotone, so ``|link_normal(key, i, j)| ≤ link_radius(key, i, j)``
+    holds exactly in floating point: a bound on the draw from one hash.
+    """
+    return _box_muller_radius(key, pair_code(i, j))
+
+
 def link_normal(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Standard normal per unordered link — symmetric: f(i,j) == f(j,i).
 
@@ -101,9 +116,8 @@ def link_normal(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     ``(key, {i, j})`` only — independent of array layout or call order.
     """
     code = pair_code(i, j)
-    u1 = _uniform(code, derive_key(key, SALT_SHADOW_U1))
     u2 = _uniform(code, derive_key(key, SALT_SHADOW_U2))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return _box_muller_radius(key, code) * np.cos(2.0 * np.pi * u2)
 
 
 def event_exponential(

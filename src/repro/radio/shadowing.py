@@ -7,13 +7,20 @@ two positions*, so we model it per-link, symmetric, and static for the
 duration of a run — the standard assumption for stationary devices.
 :class:`HashedShadowing` draws it as a pure function of the run key and
 the link; :class:`NoShadowing` is the oracle-channel stand-in.
+
+Both also answer :meth:`~HashedShadowing.gain_bound_db`, an exact upper
+bound on a link's shadowing *gain* from the first of the draw's two
+hashed uniforms.  The link evaluator
+(:func:`repro.radio.sparse_link.evaluate_links`) uses it to drop pairs
+that no draw could lift over its power floor before it draws their
+shadow.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.radio.chanhash import link_normal
+from repro.radio.chanhash import link_normal, link_radius
 
 
 class HashedShadowing:
@@ -61,6 +68,19 @@ class HashedShadowing:
         np.clip(z, -self.clip_sigma, self.clip_sigma, out=z)
         return self.sigma_db * z
 
+    def gain_bound_db(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Upper bound on the gain ``−link_db(i, j)``, from ``u₁`` alone.
+
+        A draw is ``σ · clip(R · cos 2πu₂)``, so ``−link_db ≤ σ · min(R,
+        clip)`` holds exactly in floating point (``|cos| ≤ 1``, rounding
+        is monotone).  Costs one of the draw's two hashes and no ``cos``:
+        a pair whose power falls short of a floor even at this gain can
+        be dropped before its shadow is drawn.
+        """
+        r = link_radius(self.key, i, j)
+        np.minimum(r, self.clip_sigma, out=r)
+        return self.sigma_db * r
+
     def link_matrix(self, n: int) -> np.ndarray:
         """Dense materialization of :meth:`link_db`, zero diagonal."""
         if n < 0:
@@ -90,6 +110,8 @@ class NoShadowing:
 
     def link_db(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(i, j).shape)
+
+    gain_bound_db = link_db
 
     def __repr__(self) -> str:
         return "NoShadowing()"

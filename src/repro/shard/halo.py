@@ -35,6 +35,7 @@ from repro.core.config import PaperConfig
 from repro.core.network import _pathloss_for, _shadowing_for
 from repro.radio.pathloss import max_range_m
 from repro.radio.sparse_link import evaluate_links
+from repro.radio.spatial import DEFAULT_CHUNK_PAIRS
 from repro.shard.tiling import CityConfig, Tiling
 
 
@@ -99,7 +100,7 @@ def cross_links(
     radius_m: float,
     *,
     owner: int | None = None,
-    max_chunk_pairs: int = 1 << 21,
+    max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Cross-tile links within ``radius_m`` whose mean power clears the
     threshold, on the city channel.
@@ -154,7 +155,8 @@ def cross_links(
     a, b = ids[ci], ids[cj]
     gi = np.minimum(a, b)
     gj = np.maximum(a, b)
-    order = np.lexsort((gj, gi))
+    # pairs are unique, so one key sorts them as lexsort((gj, gi)) would
+    order = np.argsort(gi * (int(ids.max()) + 1) + gj)
     return candidates, gi[order], gj[order], power[order]
 
 

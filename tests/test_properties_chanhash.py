@@ -10,9 +10,12 @@ from repro.radio.chanhash import (
     derive_key,
     directed_code,
     hashed_uniform,
+    link_normal,
+    link_radius,
     pair_code,
     splitmix64,
 )
+from repro.radio.shadowing import HashedShadowing, NoShadowing
 
 keys = st.integers(min_value=0, max_value=2**63 - 1)
 salts = st.integers(min_value=0, max_value=2**63 - 1).map(np.uint64)
@@ -95,3 +98,43 @@ def test_splitmix64_has_no_local_collisions(start):
     zs = np.arange(start, start + 512, dtype=np.uint64)
     hashed = splitmix64(zs)
     assert np.unique(hashed).size == zs.size
+
+
+id_arrays = st.lists(
+    st.integers(min_value=0, max_value=2**31 - 1), min_size=1, max_size=64
+).map(lambda xs: np.array(xs, dtype=np.int64))
+
+
+@settings(deadline=None, max_examples=60)
+@given(keys, id_arrays, id_arrays)
+def test_link_radius_bounds_the_normal(key, i, j):
+    m = min(i.size, j.size)
+    i, j = i[:m], j[:m]
+    z = link_normal(key, i, j)
+    r = link_radius(key, i, j)
+    assert (np.abs(z) <= r).all()
+    assert np.array_equal(r, link_radius(key, j, i))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    keys,
+    id_arrays,
+    id_arrays,
+    st.floats(min_value=0.0, max_value=20.0),
+    st.floats(min_value=0.05, max_value=4.0),
+)
+def test_gain_bound_covers_every_shadow_gain(key, i, j, sigma, clip):
+    """``−link_db ≤ gain_bound_db`` holds bitwise, with no rounding slack;
+    a small clip puts many draws at the clip, where the bound is met."""
+    m = min(i.size, j.size)
+    i, j = i[:m], j[:m]
+    shadowing = HashedShadowing(sigma, key, clip_sigma=clip)
+    gain = -shadowing.link_db(i, j)
+    bound = shadowing.gain_bound_db(i, j)
+    assert (gain <= bound).all()
+    at_clip = link_normal(key, i, j) <= -clip
+    assert np.array_equal(gain[at_clip], bound[at_clip])
+    assert np.array_equal(
+        NoShadowing().gain_bound_db(i, j), np.zeros(m)
+    )

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.beacon import SparseBeaconDiscovery
+from repro.core.config import PaperConfig
+from repro.core.network import D2DNetwork
 from repro.core.pulsesync import SparsePulseSyncKernel
 from repro.oscillator.prc import LinearPRC
 from repro.radio.fading import FADE_CAP_DB, HashedRayleighFading, NoFading
@@ -16,6 +22,7 @@ from repro.radio.sparse_link import (
     SparseLinkBudget,
     csr_from_edges,
     csr_is_connected,
+    evaluate_links,
     gather_rows,
 )
 
@@ -61,6 +68,19 @@ class TestCsrHelpers:
         assert indptr.tolist() == [0, 1, 2, 4]
         assert indices.tolist() == [2, 0, 0, 1]
         assert wo.tolist() == [20.0, 40.0, 30.0, 10.0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_key_sort_equals_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 300
+        codes = rng.choice(n * n, size=4000, replace=False)
+        tx, rx = codes // n, codes % n
+        w = rng.standard_normal(codes.size)
+        indptr, indices, (wo,) = csr_from_edges(n, tx, rx, w)
+        order = np.lexsort((rx, tx))
+        assert np.array_equal(indices, rx[order])
+        assert np.array_equal(wo, w[order])
+        assert np.array_equal(np.repeat(np.arange(n), np.diff(indptr)), tx[order])
 
     def test_is_connected(self):
         # path 0-1-2 plus isolated 3
@@ -224,3 +244,85 @@ class TestGuards:
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.power_dbm, b.power_dbm)
+
+
+def _brute_force_links(positions, radius, floor, shadowing, ids, slack):
+    """Every pair, no grid and no gain bound: the unpruned evaluator."""
+    iu, ju = np.triu_indices(positions.shape[0], k=1)
+    dx = positions[iu, 0] - positions[ju, 0]
+    dy = positions[iu, 1] - positions[ju, 1]
+    d2 = dx * dx + dy * dy
+    near = d2 <= radius * radius * (1.0 + slack)
+    iu, ju = iu[near], ju[near]
+    loss = PaperPathLoss().loss_db(np.sqrt(d2[near]))
+    power = 23.0 - loss - shadowing.link_db(ids[iu], ids[ju])
+    keep = power >= floor
+    return int(near.sum()), iu[keep], ju[keep], power[keep]
+
+
+def _canonical(i, j, p):
+    order = np.lexsort((j, i))
+    return i[order], j[order], p[order]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n=st.integers(min_value=0, max_value=80),
+    side=st.floats(min_value=1.0, max_value=1500.0),
+    radius=st.floats(min_value=1.0, max_value=800.0),
+    floor=st.floats(min_value=-115.0, max_value=-70.0),
+    sigma=st.sampled_from([0.0, 4.0, 10.0]),
+    slack=st.sampled_from([0.0, 1e-12]),
+    shuffled_ids=st.booleans(),
+)
+def test_evaluate_links_matches_unpruned_brute_force(
+    seed, n, side, radius, floor, sigma, slack, shuffled_ids
+):
+    """The stencil grid and the gain bound drop only pairs the floor
+    would drop: candidates, links and powers equal the all-pairs
+    evaluation bitwise."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.0, side, size=(n, 2))
+    shadowing = HashedShadowing(sigma, key=seed) if sigma else NoShadowing()
+    ids = (
+        rng.permutation(4 * n + 1)[:n].astype(np.int64)
+        if shuffled_ids
+        else np.arange(n, dtype=np.int64)
+    )
+    got = evaluate_links(
+        positions,
+        radius,
+        PaperPathLoss(),
+        23.0,
+        floor,
+        shadowing,
+        ids=ids if shuffled_ids else None,
+        slack=slack,
+        max_chunk_pairs=int(rng.integers(1, 200)),
+    )
+    want = _brute_force_links(positions, radius, floor, shadowing, ids, slack)
+    assert got[0] == want[0]
+    assert np.all(got[1] < got[2])
+    for a, b in zip(_canonical(*got[1:]), _canonical(*want[1:])):
+        assert np.array_equal(a, b)
+
+
+#: SHA-256 of the radio CSR ``(indptr, indices, power_dbm)`` bytes of
+#: ``D2DNetwork(PaperConfig(seed=1).with_devices(n))``, recorded before
+#: the disk-stencil grid, the gain bound and the one-key CSR sort: each
+#: must leave these bytes unchanged.  (n = 20,000 gives
+#: 58c436a9c5db0a4f129dd4cb5ec43a4cc158da895ccd84903156c595fc645bf8.)
+CSR_SHA256 = {
+    300: "fac871aae4ede12282d667c1bc1cd8b04095771b63c2922eaaeabe5c8d3bd81b",
+    5000: "678c4488a8af24a00cf385aeffae64562b13ac0c8cd62c37e8f749660d9dbfd7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CSR_SHA256))
+def test_csr_bytes_are_pinned(n):
+    budget = D2DNetwork(PaperConfig(seed=1).with_devices(n)).sparse_budget
+    h = hashlib.sha256()
+    for a in (budget.indptr, budget.indices, budget.power_dbm):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == CSR_SHA256[n]
